@@ -32,6 +32,8 @@ per-mode contract against the pooled path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress
 from typing import Callable, Dict, Iterator, Optional, Sequence
 
 import numpy as np
@@ -64,7 +66,10 @@ __all__ = [
     "DistortionFold",
     "IncrementalScorer",
     "analysis_column",
+    "ideal_columns",
+    "cleanliness_fractions",
     "outlier_record_fraction",
+    "outlier_fractions",
     "split_verdicts",
     "identify_fixed_point",
     "fit_sigma_limits",
@@ -101,16 +106,49 @@ def analysis_column(
     return col[~np.isnan(col)]
 
 
-def outlier_record_fraction(series: TimeSeries, suite: DetectorSuite) -> float:
-    """Record-level outlier fraction of one series under a fitted suite.
+def ideal_columns(
+    series: Sequence[TimeSeries],
+    attr_index: int,
+    attr_name: str,
+    transform: Optional[ScaleTransform],
+) -> list[np.ndarray]:
+    """:func:`analysis_column` of every given (ideal) series, in order."""
+    return [analysis_column(s, attr_index, attr_name, transform) for s in series]
 
-    Replays ``GlitchMatrix.record_fraction(OUTLIER)``: scale, detect,
-    any-attribute reduce, mean over records.
+
+def _record_fraction(mask: np.ndarray) -> float:
+    """Share of a ``(T, v)`` mask's records with a flagged cell.
+
+    Replays ``GlitchMatrix.record_fraction``: any-attribute reduce, mean
+    over records, and ``0.0`` for a series with no records.
     """
+    return float(mask.any(axis=1).mean()) if len(mask) else 0.0
+
+
+def cleanliness_fractions(
+    series: Sequence[TimeSeries], constraints: ConstraintSet
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-series record-level ``(missing, inconsistent)`` fractions.
+
+    The profile pass of the fixed point: neither rate depends on the fitted
+    outlier limits, so every engine computes them once and reuses them in
+    every round.
+    """
+    miss = [_record_fraction(detect_missing(s)) for s in series]
+    inc = [_record_fraction(constraints.evaluate(s)) for s in series]
+    return np.array(miss, dtype=float), np.array(inc, dtype=float)
+
+
+def outlier_record_fraction(series: TimeSeries, suite: DetectorSuite) -> float:
+    """Record-level outlier fraction of one series under a fitted suite."""
     transform = suite.transform
-    detector = suite.outlier_detector
     scaled = transform.apply(series) if transform else series
-    return float(detector.detect(scaled).any(axis=1).mean())
+    return _record_fraction(suite.outlier_detector.detect(scaled))
+
+
+def outlier_fractions(series: Sequence[TimeSeries], suite: DetectorSuite) -> np.ndarray:
+    """Per-series record-level outlier fractions: one fixed-point round."""
+    return np.array([outlier_record_fraction(s, suite) for s in series], dtype=float)
 
 
 def split_verdicts(verdicts: np.ndarray) -> tuple[list[int], list[int]]:
@@ -161,36 +199,39 @@ def identify_fixed_point(
     max_fraction: float,
     max_iter: int,
 ) -> tuple[np.ndarray, DetectorSuite]:
-    """The ideal-set / outlier-limit fixed point, engine-agnostically.
+    """The ideal-set / outlier-limit fixed point — the one loop every
+    engine calls.
 
-    Replays :func:`~repro.glitches.detectors.identify_ideal` round for
-    round — bootstrap split on the suite-independent missing/inconsistent
-    rates, then fit → re-verdict → re-split until membership is stable —
-    with the two engine-specific steps injected: *fit_limits(verdicts)*
-    fits the sigma limits on the current ideal set, *outlier_fractions
-    (suite)* computes every series' record-level outlier rate under the
-    fitted suite. The pull engine fans both over shard passes; the push
+    A series is ideal when its record-level rate of each glitch type is
+    below *max_fraction* (Section 4.1). Round 0 splits on the
+    suite-independent missing/inconsistent rates *miss* and *inc* alone (no
+    outlier limits exist yet); each round then fits 3-sigma limits on the
+    current ideal set, recomputes only the outlier rates, and re-splits,
+    stopping early once membership is stable. The two engine-specific steps
+    are injected: *fit_limits(verdicts)* fits the sigma limits on the
+    current ideal set, *outlier_fractions(suite)* computes every series'
+    record-level outlier rate under the fitted suite.
+    :func:`~repro.glitches.detectors.identify_ideal` fans both over
+    in-memory shards, the pull engine over slab passes, and the push
     service reads both off its window journal. Identical callables in,
     identical verdicts and suite out — bit for bit.
     """
-    mf = max_fraction
-    verdicts = (miss < mf) & (inc < mf)
+    if max_iter < 1:
+        raise ValidationError("max_iter must be >= 1")
+    clean = (miss < max_fraction) & (inc < max_fraction)
+    verdicts = clean
     split_verdicts(verdicts)
-    previous = set(np.flatnonzero(verdicts).tolist())
-    suite = DetectorSuite(constraints=constraints, outlier_detector=None)
     for _ in range(max_iter):
         suite = DetectorSuite(
             constraints=constraints,
             outlier_detector=SigmaOutlierDetector(fit_limits(verdicts)),
             transform=transform,
         )
-        out = outlier_fractions(suite)
-        verdicts = (miss < mf) & (inc < mf) & (out < mf)
-        split_verdicts(verdicts)
-        current = set(np.flatnonzero(verdicts).tolist())
-        if current == previous:
+        current = clean & (outlier_fractions(suite) < max_fraction)
+        split_verdicts(current)
+        if np.array_equal(current, verdicts):
             break
-        previous = current
+        verdicts = current
     return verdicts, suite
 
 
@@ -838,42 +879,31 @@ class IncrementalScorer:
     ) -> tuple[np.ndarray, DetectorSuite]:
         """The ideal-set fixed point over the journaled population.
 
-        Reassembles the streams (they must be complete) and runs
-        :func:`identify_fixed_point` with journal-backed fit and verdict
-        callables — the same callables the pull engine computes over shard
-        passes, so the verdicts and fitted suite replay
-        :meth:`StreamingExperiment.identify` bit for bit. Freezes the
-        fitted suite for live scoring as a side effect.
+        Reassembles the streams (they must be complete) and calls the
+        shared :func:`identify_fixed_point` loop with the folded
+        missing/inconsistent fractions and the same per-series passes
+        (:func:`ideal_columns`, :func:`outlier_fractions`) that the batch
+        and pull engines fan over shards, so the verdicts and fitted suite
+        equal theirs bit for bit. Freezes the fitted suite for live scoring
+        as a side effect.
         """
         series = self.journal.assemble()
-        attributes = series[0].attributes
-        n = len(series)
-        miss, inc = self.cleanliness.fraction_arrays(n)
-
-        def fit_limits(verdicts: np.ndarray) -> SigmaLimits:
-            def columns(j: int, attr: str) -> list[np.ndarray]:
-                return [
-                    analysis_column(s, j, attr, self.transform)
-                    for s, keep in zip(series, verdicts)
-                    if keep
-                ]
-
-            return fit_sigma_limits(attributes, columns, k)
-
-        def outlier_fractions(suite: DetectorSuite) -> np.ndarray:
-            return np.array(
-                [outlier_record_fraction(s, suite) for s in series]
-            )
-
+        miss, inc = self.cleanliness.fraction_arrays(len(series))
         verdicts, suite = identify_fixed_point(
             miss,
             inc,
             self.constraints,
             self.transform,
-            fit_limits,
-            outlier_fractions,
-            max_fraction,
-            max_iter,
+            fit_limits=lambda keep: fit_sigma_limits(
+                series[0].attributes,
+                lambda j, attr: ideal_columns(
+                    list(compress(series, keep)), j, attr, self.transform
+                ),
+                k,
+            ),
+            outlier_fractions=partial(outlier_fractions, series),
+            max_fraction=max_fraction,
+            max_iter=max_iter,
         )
         self.freeze_suite(suite)
         return verdicts, suite

@@ -22,7 +22,8 @@ plus O(what the replications actually touch), never O(population):
 
 The engine is contractually **bitwise-identical** to the in-memory path:
 every per-series random stream is pre-spawned by index (the PR 2 contract),
-the sigma fit replays the exact pooled-column arithmetic, and the gathered
+the ideal-set split calls the same fixed-point loop and per-series passes
+as :func:`~repro.glitches.detectors.identify_ideal`, and the gathered
 parents replay the exact parent-block gathers — ``tests/test_streaming.py``
 pins outcome equality across the serial, thread and process backends.
 Select the engine with ``ExperimentConfig(streaming=True)`` or
@@ -34,6 +35,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
+from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,17 +55,17 @@ from repro.data.stream import TimeSeries
 from repro.distance.base import Distance
 from repro.errors import ValidationError
 from repro.core.incremental import (
-    analysis_column,
     build_parent_gathers,
+    cleanliness_fractions,
     fit_sigma_limits,
+    ideal_columns,
     identify_fixed_point,
     iter_test_pairs,
-    outlier_record_fraction,
+    outlier_fractions,
     split_verdicts,
 )
 from repro.glitches.constraints import ConstraintSet, paper_constraints
 from repro.glitches.detectors import DetectorSuite, ScaleTransform, SigmaLimits
-from repro.glitches.missing import detect_missing
 from repro.sampling.bottom_k import BottomKSketch, indexed_ranks, union_sketches
 from repro.sampling.priority import PrioritySample, priority_sample_indexed
 from repro.sampling.replication import replication_index_streams
@@ -101,71 +103,29 @@ def streaming_enabled(config: Optional[ExperimentConfig] = None) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _ProfileSpec:
-    """Round-0 pass: spill + the suite-independent cleanliness fractions."""
-
-    constraints: ConstraintSet
-
-
-def _profile_slab(spec: _ProfileSpec, source: SlabSource) -> tuple[np.ndarray, np.ndarray]:
-    """Per-series record-level missing/inconsistent fractions of one shard.
-
-    These two rates never depend on the fitted detector, so they are
-    computed once and reused by every fixed-point round; the floats replay
-    ``GlitchMatrix.record_fraction`` exactly (same boolean reductions, same
-    division).
-    """
+def _profile_slab(
+    constraints: ConstraintSet, source: SlabSource
+) -> tuple[np.ndarray, np.ndarray]:
+    """Profile pass: spill the shard, then its missing/inconsistent rates."""
     inject_fault("unit")
-    series = load_slab(source, spill=True)
-    miss = np.empty(len(series))
-    inc = np.empty(len(series))
-    for i, s in enumerate(series):
-        miss[i] = float(detect_missing(s).any(axis=1).mean())
-        inc[i] = float(spec.constraints.evaluate(s).any(axis=1).mean())
-    return miss, inc
+    return cleanliness_fractions(load_slab(source, spill=True), constraints)
 
 
-@dataclass(frozen=True)
-class _OutlierSpec:
-    """Per-round pass: outlier record fractions under the current suite."""
-
-    suite: DetectorSuite
-
-
-def _outlier_slab(spec: _OutlierSpec, source: SlabSource) -> np.ndarray:
+def _outlier_slab(suite: DetectorSuite, source: SlabSource) -> np.ndarray:
+    """Per-round pass: the shard's outlier rates under the current suite."""
     inject_fault("unit")
-    series = load_slab(source)
-    return np.array([outlier_record_fraction(s, spec.suite) for s in series])
-
-
-@dataclass(frozen=True)
-class _ColumnSpec:
-    """Fit pass: one attribute's analysis-scale ideal column, shard by shard."""
-
-    transform: Optional[ScaleTransform]
-    attr_index: int
-    attr_name: str
+    return outlier_fractions(load_slab(source), suite)
 
 
 def _column_slab(
-    spec: _ColumnSpec, unit: tuple[SlabSource, np.ndarray]
+    column: tuple[int, str, Optional[ScaleTransform]],
+    unit: tuple[SlabSource, np.ndarray],
 ) -> list[np.ndarray]:
-    """Complete column values of the shard's ideal-verdict series.
-
-    Replays the ``transform.apply_dataset`` → ``pooled_column(dropna=True)``
-    arithmetic per series: the elementwise transform and the NaN drop both
-    commute with concatenation, so the coordinator's concatenated column is
-    bitwise-identical to pooling the materialised ideal data set.
-    """
+    """Fit pass: one attribute's analysis-scale columns of the shard's
+    ideal-verdict series, in shard order."""
     inject_fault("unit")
     source, keep = unit
-    series = load_slab(source)
-    return [
-        analysis_column(s, spec.attr_index, spec.attr_name, spec.transform)
-        for s, keep_one in zip(series, keep)
-        if keep_one
-    ]
+    return ideal_columns(list(compress(load_slab(source), keep)), *column)
 
 
 @dataclass(frozen=True)
@@ -395,35 +355,26 @@ class StreamingExperiment:
         """The 3-sigma fit on the current ideal set, one attribute at a time.
 
         Peak memory is one attribute's pooled ideal column — the engine
-        never holds the ideal *data set*. The concatenated column replays
-        ``StreamDataset.pooled_column`` exactly (see :func:`_column_slab`),
-        so the limits are bitwise-identical to
-        ``SigmaLimits.from_dataset(scaled_ideal, k=k)``.
+        never holds the ideal *data set*. Columns come back in population
+        order, so the limits are bitwise-identical to the in-memory fit.
         """
         def columns(j: int, attr: str) -> list[np.ndarray]:
-            spec = _ColumnSpec(
-                transform=self.transform, attr_index=j, attr_name=attr
-            )
             chunks = self._map(
-                partial(_column_slab, spec), self._shard_units(verdicts)
+                partial(_column_slab, (j, attr, self.transform)),
+                self._shard_units(verdicts),
             )
             return [c for chunk in chunks for c in chunk]
 
         return fit_sigma_limits(self.attributes, columns, self.k)
 
-    @staticmethod
-    def _split(verdicts: np.ndarray) -> tuple[list[int], list[int]]:
-        return split_verdicts(verdicts)
-
     def identify(self) -> tuple[np.ndarray, DetectorSuite]:
         """Stream the ideal-set / outlier-limit fixed point.
 
-        The loop structure replays
-        :func:`~repro.glitches.detectors.identify_ideal` round for round —
-        bootstrap split on missing+inconsistent rates, then fit → re-verdict
-        → re-split until membership is stable — with every per-series pass
-        fanned over the feed's backend and nothing retained beyond verdicts
-        and a handful of floats per series.
+        Calls the shared
+        :func:`~repro.core.incremental.identify_fixed_point` loop — the one
+        :func:`~repro.glitches.detectors.identify_ideal` calls — with every
+        per-series pass fanned over the feed's backend and nothing retained
+        beyond verdicts and a handful of floats per series.
 
         The fixed point is a pure function of the population recipe and the
         identification parameters (all fixed at construction), so it is
@@ -433,35 +384,23 @@ class StreamingExperiment:
         """
         if self._identified is not None:
             return self._identified
-        from repro.glitches.types import N_GLITCH_TYPES
-
-        if N_GLITCH_TYPES != 3:  # pragma: no cover - future-taxonomy tripwire
-            raise ValidationError(
-                "the streaming verdict replay covers exactly the "
-                "missing/inconsistent/outlier taxonomy; a new GlitchType "
-                "needs its record fraction added to _profile_slab/_outlier_slab "
-                "before the identity contract holds again"
-            )
         if not hasattr(self, "attributes"):
             # Peek one shard for the attribute schema (it spills for reuse).
             self.attributes = load_slab(self.feed.sources[0], spill=True)[0].attributes
-        profile = self._map(partial(_profile_slab, _ProfileSpec(self.constraints)))
-        miss = np.concatenate([m for m, _ in profile])
-        inc = np.concatenate([i for _, i in profile])
-        verdicts, suite = identify_fixed_point(
-            miss,
-            inc,
+        profile = self._map(partial(_profile_slab, self.constraints))
+        self._identified = identify_fixed_point(
+            np.concatenate([miss for miss, _ in profile]),
+            np.concatenate([inc for _, inc in profile]),
             self.constraints,
             self.transform,
             fit_limits=self._fit_limits,
             outlier_fractions=lambda suite: np.concatenate(
-                self._map(partial(_outlier_slab, _OutlierSpec(suite)))
+                self._map(partial(_outlier_slab, suite))
             ),
             max_fraction=self.max_fraction,
             max_iter=self.max_iter,
         )
-        self._identified = (verdicts, suite)
-        return verdicts, suite
+        return self._identified
 
     # -- the full run -----------------------------------------------------------
 
@@ -501,7 +440,7 @@ class StreamingExperiment:
             )
         try:
             verdicts, suite = self.identify()
-            dirty_idx, ideal_idx = self._split(verdicts)
+            dirty_idx, ideal_idx = split_verdicts(verdicts)
 
             # Draw the replication index streams up front — they only need
             # the two population sizes — then gather just the touched series.

@@ -282,10 +282,10 @@ class MonitoringSession:
         On a catalog hit the stored :class:`ReferenceFrame` stands the
         fitted suite back up without touching the journaled data (beyond
         backfilling the live glitch fold); on a miss the fixed point is
-        computed from the journal — the exact
-        :func:`~repro.core.incremental.identify_fixed_point` replay of the
-        batch engines — and published for the next session. Memoised
-        in-process either way.
+        computed from the journal by the shared
+        :func:`~repro.core.incremental.identify_fixed_point` loop — the one
+        the batch engines call — and published for the next session.
+        Memoised in-process either way.
         """
         if self._identified is not None:
             return self._identified
