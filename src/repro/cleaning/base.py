@@ -17,6 +17,11 @@ S5        ideal-mean replacement          Winsorization
 on the dirty values (the paper's Figure 4 shows imputed values that escaped
 Winsorization, so imputation cannot precede it), then the
 missing/inconsistent treatment fills the gaps.
+
+Strategies and treatments run on one sample layout, the columnar
+:class:`~repro.data.block.SampleBlock` (NaN-padded where series lengths
+differ); :meth:`CleaningStrategy.clean` is the data-set convenience over
+:meth:`CleaningStrategy.clean_block`.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, TypeVar
+from typing import Callable, Optional, TypeVar, Union
 
 import numpy as np
 
@@ -56,7 +61,9 @@ class CleaningContext:
     Parameters
     ----------
     ideal:
-        The ideal replication sample ``DiI`` (raw scale). Supplies the
+        The ideal replication sample ``DiI`` (raw scale), in either layout;
+        a :class:`~repro.data.dataset.StreamDataset` is converted to its
+        :class:`~repro.data.block.SampleBlock` on construction. Supplies the
         3-sigma limits (on the analysis scale) and the replacement means.
     transform:
         Optional analysis-scale transform (the log-attr1 factor). ``None``
@@ -67,27 +74,23 @@ class CleaningContext:
         Width of the sigma limits (3.0 in the paper).
     seed:
         Seed/generator for stochastic treatments (MVN imputation draws).
-    ideal_block:
-        Optional columnar layout of the same ideal sample. When present, the
-        derived statistics (sigma limits, replacement means) are computed
-        from the block columns — the identical pooled values, so the numbers
-        match the per-series computation bit for bit.
     """
 
-    ideal: StreamDataset
+    ideal: Union[StreamDataset, SampleBlock]
     transform: Optional[ScaleTransform] = None
     constraints: ConstraintSet = field(default_factory=paper_constraints)
     sigma_k: float = 3.0
     seed: Seed = None
-    ideal_block: Optional[SampleBlock] = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.ideal, StreamDataset):
+            self.ideal = self.ideal.to_block()
         self.rng = as_generator(self.seed)
         # Per-replication memo for deterministic derived products (e.g. the
         # MVN EM fit, which Strategies 1 and 2 would otherwise each recompute
         # from the identical pooled sample). Caching a pure function of its
         # key cannot change any number — it only skips a bitwise-identical
-        # recomputation — so both the per-series and block paths share it.
+        # recomputation.
         self._memo: dict = {}
 
     # -- derived, lazily computed ----------------------------------------------
@@ -95,27 +98,18 @@ class CleaningContext:
     def _ideal_columns(self, analysis_scale: bool) -> dict[str, np.ndarray]:
         """NaN-free pooled columns of the ideal sample, per attribute.
 
-        Reads the block columns when the columnar layout is available, the
-        per-series concatenation otherwise — identical values either way
-        (series-major, time-minor pooling order).
+        Series-major, time-minor pooling order over the valid rows.
         """
-        if self.ideal_block is not None:
-            attributes = self.ideal_block.attributes
-            values = self.ideal_block.values
-            if analysis_scale and self.transform is not None:
-                values = self.transform.forward_values(values, attributes)
-            out = {}
-            for j, attr in enumerate(attributes):
-                col = values[..., j].reshape(-1)
-                out[attr] = col[~np.isnan(col)]
-            return out
-        dataset = self.ideal
+        block = self.ideal
+        values = block.values
         if analysis_scale and self.transform is not None:
-            dataset = self.transform.apply_dataset(dataset)
-        return {
-            attr: dataset.pooled_column(attr, dropna=True)
-            for attr in dataset.attributes
-        }
+            values = self.transform.forward_values(values, block.attributes)
+        rows = block.pool_rows(values)
+        out = {}
+        for j, attr in enumerate(block.attributes):
+            col = rows[:, j]
+            out[attr] = col[~np.isnan(col)]
+        return out
 
     @cached_property
     def limits(self) -> SigmaLimits:
@@ -164,17 +158,20 @@ class CleaningContext:
         Missing cells plus constraint-violating cells: the paper's strategies
         "impute values to missing and inconsistent data" as one family.
         """
-        return np.isnan(series.values) | self.constraints.evaluate(series)
+        return self.treatable_mask_values(series.values, series.attributes)
 
     def treatable_mask_values(
         self, values: np.ndarray, attributes: tuple[str, ...]
     ) -> np.ndarray:
-        """Treatable-cell mask for a ``(..., v)`` value array.
-
-        One vectorised pass over a whole sample-block tensor, cell-for-cell
-        identical to calling :meth:`treatable_mask` per series.
-        """
+        """Treatable-cell mask for a ``(..., v)`` value array."""
         return np.isnan(values) | self.constraints.evaluate_values(values, attributes)
+
+    def treatable_mask_block(self, block: SampleBlock) -> np.ndarray:
+        """``(n, T, v)`` treatable cells of a block; padding is never treatable."""
+        mask = self.treatable_mask_values(block.values, block.attributes)
+        if block.padded:
+            mask &= block.valid[..., None]
+        return mask
 
     def to_analysis(self, values: np.ndarray, attributes: tuple[str, ...]) -> np.ndarray:
         """Raw ``(..., v)`` values -> analysis scale (identity without transform)."""
@@ -222,24 +219,21 @@ class CleaningStrategy(ABC):
         """
         return 1.0
 
-    @abstractmethod
     def clean(self, sample: StreamDataset, context: CleaningContext) -> StreamDataset:
-        """Return the treated copy of *sample*. The input is never mutated."""
+        """Return the treated copy of *sample*. The input is never mutated.
 
-    def clean_block(
-        self, block: SampleBlock, context: CleaningContext
-    ) -> Optional[SampleBlock]:
-        """Columnar fast path: treat a whole sample block in one pass.
-
-        Returns the treated block, or ``None`` when this strategy has no
-        block implementation — callers then fall back to :meth:`clean` on a
-        materialised data set. **Contract:** a block implementation must be
-        bitwise-identical to :meth:`clean` under the same context (including
-        consuming ``context.rng`` in exactly the per-series order), and a
-        ``None`` must be returned *before* any random draw so the fallback
-        replays the stream from the same point.
+        The data-set form of :meth:`clean_block`: the sample is laid out as
+        a block, treated, and handed back as series views of the result.
         """
-        return None
+        return StreamDataset.from_block(self.clean_block(sample.to_block(), context))
+
+    @abstractmethod
+    def clean_block(self, block: SampleBlock, context: CleaningContext) -> SampleBlock:
+        """Return the treated copy of *block*. The input is never mutated.
+
+        Padding cells stay padding: they are never treated, never pooled
+        into a model fit, and never consume a random draw.
+        """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
@@ -254,21 +248,9 @@ class MissingInconsistentTreatment(ABC):
 
     name: str = "mi_treatment"
 
-    #: True when :meth:`apply_block` is implemented (checked *before* any
-    #: work so a composite never half-runs on the block path).
-    supports_block: bool = False
-
     @abstractmethod
-    def apply(self, sample: StreamDataset, context: CleaningContext) -> StreamDataset:
-        """Return a copy of *sample* with treatable cells filled."""
-
-    def apply_block(
-        self, block: SampleBlock, context: CleaningContext
-    ) -> SampleBlock:
-        """Block-level :meth:`apply`; only called when ``supports_block``."""
-        raise NotImplementedError(
-            f"{type(self).__name__} has no block implementation"
-        )
+    def apply_block(self, block: SampleBlock, context: CleaningContext) -> SampleBlock:
+        """Return a copy of *block* with treatable cells filled."""
 
 
 class OutlierTreatment(ABC):
@@ -276,20 +258,9 @@ class OutlierTreatment(ABC):
 
     name: str = "outlier_treatment"
 
-    #: True when :meth:`apply_block` is implemented.
-    supports_block: bool = False
-
     @abstractmethod
-    def apply(self, sample: StreamDataset, context: CleaningContext) -> StreamDataset:
-        """Return a copy of *sample* with outlier cells repaired."""
-
-    def apply_block(
-        self, block: SampleBlock, context: CleaningContext
-    ) -> SampleBlock:
-        """Block-level :meth:`apply`; only called when ``supports_block``."""
-        raise NotImplementedError(
-            f"{type(self).__name__} has no block implementation"
-        )
+    def apply_block(self, block: SampleBlock, context: CleaningContext) -> SampleBlock:
+        """Return a copy of *block* with outlier cells repaired."""
 
 
 class CompositeStrategy(CleaningStrategy):
@@ -323,33 +294,16 @@ class CompositeStrategy(CleaningStrategy):
         self.mi_treatment = mi_treatment
         self.outlier_treatment = outlier_treatment
 
-    def clean(self, sample: StreamDataset, context: CleaningContext) -> StreamDataset:
-        treated = sample
-        if self.mi_treatment is not None:
-            treated = self.mi_treatment.apply(treated, context)
-        if self.outlier_treatment is not None:
-            treated = self.outlier_treatment.apply(treated, context)
-        if treated is sample:  # both components declined to copy
-            treated = sample.copy()
-        return treated
+    # Bound in this class too, so per-class instrumentation
+    # (``perfbench/tracing.py``) finds both entry points.
+    clean = CleaningStrategy.clean
 
-    def clean_block(
-        self, block: SampleBlock, context: CleaningContext
-    ) -> Optional[SampleBlock]:
-        # Capability is checked up front: the block path either runs both
-        # components or neither, so a fallback never replays half-consumed
-        # random streams.
-        if self.mi_treatment is not None and not self.mi_treatment.supports_block:
-            return None
-        if self.outlier_treatment is not None and not self.outlier_treatment.supports_block:
-            return None
+    def clean_block(self, block: SampleBlock, context: CleaningContext) -> SampleBlock:
         treated = block
         if self.mi_treatment is not None:
             treated = self.mi_treatment.apply_block(treated, context)
         if self.outlier_treatment is not None:
             treated = self.outlier_treatment.apply_block(treated, context)
-        if treated is block:  # pragma: no cover - components always copy
-            treated = block.copy()
         return treated
 
     def describe(self) -> str:
@@ -364,10 +318,5 @@ class IdentityStrategy(CleaningStrategy):
 
     name = "identity"
 
-    def clean(self, sample: StreamDataset, context: CleaningContext) -> StreamDataset:
-        return sample.copy()
-
-    def clean_block(
-        self, block: SampleBlock, context: CleaningContext
-    ) -> Optional[SampleBlock]:
+    def clean_block(self, block: SampleBlock, context: CleaningContext) -> SampleBlock:
         return block.copy()

@@ -14,8 +14,6 @@ import numpy as np
 
 from repro.cleaning.base import CleaningContext, MissingInconsistentTreatment
 from repro.data.block import SampleBlock
-from repro.data.dataset import StreamDataset
-from repro.data.stream import TimeSeries
 
 __all__ = ["InterpolationImputation"]
 
@@ -39,7 +37,6 @@ class InterpolationImputation(MissingInconsistentTreatment):
     """Fill treatable cells by per-attribute linear interpolation in time."""
 
     name = "interpolation"
-    supports_block = True
 
     @staticmethod
     def _treat_values(
@@ -58,30 +55,18 @@ class InterpolationImputation(MissingInconsistentTreatment):
             col[still_bad] = means[attr]
             values[:, j] = col
 
-    def apply(self, sample: StreamDataset, context: CleaningContext) -> StreamDataset:
-        means = context.ideal_means
-        attributes = sample.attributes
-
-        def treat(series: TimeSeries) -> TimeSeries:
-            mask = context.treatable_mask(series)
-            if not mask.any():
-                return series.copy()
-            values = series.values.copy()
-            self._treat_values(values, mask, attributes, means)
-            return series.with_values(values)
-
-        return sample.map(treat)
-
     def apply_block(self, block: SampleBlock, context: CleaningContext) -> SampleBlock:
-        """Block path: the masks come from one vectorised pass; the 1-D
-        interpolation itself stays per series (``np.interp`` along each
-        series' own time axis is inherently sequential) but runs on block
-        rows without any object churn."""
+        """The masks come from one vectorised pass; the 1-D interpolation
+        itself runs per series (``np.interp`` along each series' own time
+        axis ``[:lengths[i]]`` is inherently sequential), on block rows
+        without any object churn."""
         means = context.ideal_means
         attributes = block.attributes
-        mask = context.treatable_mask_values(block.values, attributes)
+        mask = context.treatable_mask_block(block)
         values = block.values.copy()
-        for i in range(block.n_series):
+        for i, length in enumerate(block.lengths.tolist()):
             if mask[i].any():
-                self._treat_values(values[i], mask[i], attributes, means)
+                self._treat_values(
+                    values[i, :length], mask[i, :length], attributes, means
+                )
         return block.with_values(values)

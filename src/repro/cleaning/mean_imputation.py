@@ -16,8 +16,6 @@ import numpy as np
 
 from repro.cleaning.base import CleaningContext, MissingInconsistentTreatment
 from repro.data.block import SampleBlock
-from repro.data.dataset import StreamDataset
-from repro.data.stream import TimeSeries
 
 __all__ = ["MeanImputation"]
 
@@ -26,7 +24,6 @@ class MeanImputation(MissingInconsistentTreatment):
     """Replace missing and inconsistent cells with the ideal-sample mean."""
 
     name = "mean"
-    supports_block = True
 
     @staticmethod
     def _raw_constants(context: CleaningContext, attributes: tuple[str, ...]) -> np.ndarray:
@@ -35,29 +32,11 @@ class MeanImputation(MissingInconsistentTreatment):
         template = np.array([[means[attr] for attr in attributes]])
         return context.from_analysis(template, attributes)[0]
 
-    def apply(self, sample: StreamDataset, context: CleaningContext) -> StreamDataset:
-        attributes = sample.attributes
-        raw_constants = self._raw_constants(context, attributes)
-
-        def treat(series: TimeSeries) -> TimeSeries:
-            mask = context.treatable_mask(series)
-            if not mask.any():
-                return series.copy()
-            values = series.values.copy()
-            for j in range(len(attributes)):
-                col_mask = mask[:, j]
-                if col_mask.any():
-                    values[col_mask, j] = raw_constants[j]
-            return series.with_values(values)
-
-        return sample.map(treat)
-
     def apply_block(self, block: SampleBlock, context: CleaningContext) -> SampleBlock:
-        """Block path: one mask evaluation and one fill per attribute —
-        purely elementwise, so cell-for-cell identical to :meth:`apply`."""
+        """One mask evaluation and one fill per attribute, padding excluded."""
         attributes = block.attributes
         raw_constants = self._raw_constants(context, attributes)
-        mask = context.treatable_mask_values(block.values, attributes)
+        mask = context.treatable_mask_block(block)
         values = block.values.copy()
         for j in range(len(attributes)):
             col = values[..., j]

@@ -28,8 +28,6 @@ import numpy as np
 
 from repro.cleaning.base import CleaningContext, MissingInconsistentTreatment
 from repro.data.block import SampleBlock
-from repro.data.dataset import StreamDataset
-from repro.data.stream import TimeSeries
 from repro.errors import CleaningError
 from repro.utils.validation import check_positive_int
 
@@ -287,14 +285,12 @@ class MvnImputation(MissingInconsistentTreatment):
        how ``PROC MI`` treats the stacked input) — and map each series'
        imputed cells back to the raw scale.
 
-    Because the draws run on the pooled matrix, the per-series and
-    block layouts consume the random stream identically by construction:
-    both hand :func:`draw_conditional` the same pooled rows in the same
-    order.
+    Only valid rows are pooled (series-major, time-minor), so padding
+    never reaches the fit and never consumes a draw: the random stream, and
+    every imputed value, is independent of the pad width.
     """
 
     name = "mvn_imputation"
-    supports_block = True
 
     #: Default EM convergence criterion. SAS ``PROC MI`` — the reference
     #: implementation the paper's strategies ran — stops its EM at a maximum
@@ -321,46 +317,16 @@ class MvnImputation(MissingInconsistentTreatment):
             key, lambda: fit_mvn_em(pooled, max_iter=self.max_iter, tol=self.tol)
         )
 
-    def apply(self, sample: StreamDataset, context: CleaningContext) -> StreamDataset:
-        attributes = sample.attributes
-        blanked: list[np.ndarray] = []
-        masks: list[np.ndarray] = []
-        for series in sample:
-            mask = context.treatable_mask(series)
-            values = series.values.copy()
-            values[mask] = np.nan
-            blanked.append(context.to_analysis(values, attributes))
-            masks.append(mask)
-        pooled = np.concatenate(blanked, axis=0)
-        estimate = self._fitted(pooled, context)
-        imputed_pooled = draw_conditional(pooled, estimate, context.rng)
-
-        treated: list[TimeSeries] = []
-        offset = 0
-        for series, mask in zip(sample, masks):
-            imputed = imputed_pooled[offset : offset + series.length]
-            offset += series.length
-            raw_imputed = context.from_analysis(imputed, attributes)
-            values = series.values.copy()
-            values[mask] = raw_imputed[mask]
-            treated.append(series.with_values(values))
-        return StreamDataset(treated)
-
     def apply_block(self, block: SampleBlock, context: CleaningContext) -> SampleBlock:
-        """Block path: one vectorised blank/transform/pool pass, then the
-        same pooled pattern-grouped draws as :meth:`apply` — both layouts
-        hand :func:`draw_conditional` the identical pooled matrix, so the
-        treated values are bitwise-identical by construction."""
+        """One vectorised blank/transform/pool pass over the valid rows, the
+        pooled pattern-grouped draws, and one scatter back."""
         attributes = block.attributes
-        mask = context.treatable_mask_values(block.values, attributes)
+        mask = context.treatable_mask_block(block)
         blanked = block.values.copy()
         blanked[mask] = np.nan
-        analysis = context.to_analysis(blanked, attributes)
-        pooled = analysis.reshape(-1, analysis.shape[-1])
+        pooled = block.pool_rows(context.to_analysis(blanked, attributes))
         estimate = self._fitted(pooled, context)
-        imputed = draw_conditional(pooled, estimate, context.rng).reshape(
-            analysis.shape
-        )
+        imputed = block.unpool_rows(draw_conditional(pooled, estimate, context.rng))
         raw_imputed = context.from_analysis(imputed, attributes)
         values = block.values.copy()
         values[mask] = raw_imputed[mask]

@@ -8,14 +8,11 @@ paper's cost proxy; sweeping it produces Figure 7.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.cleaning.base import CleaningContext, CleaningStrategy
-from repro.core.glitch_index import GlitchWeights, series_glitch_scores
+from repro.core.glitch_index import GlitchWeights, series_glitch_scores_block
 from repro.data.block import SampleBlock
-from repro.data.dataset import StreamDataset
 from repro.glitches.detectors import DetectorSuite
 from repro.glitches.outliers import SigmaOutlierDetector
 from repro.utils.validation import check_fraction
@@ -71,54 +68,21 @@ class PartialCleaner(CleaningStrategy):
             transform=context.transform,
         )
 
-    def clean(self, sample: StreamDataset, context: CleaningContext) -> StreamDataset:
-        if self.fraction == 0.0:
-            return sample.copy()
-        if self.fraction == 1.0:
-            return self.strategy.clean(sample, context)
-        # Rank with the full suite (outlier limits from the ideal sample).
-        suite = self._ranking_suite(context)
-        glitches = suite.annotate_dataset(sample)
-        scores = series_glitch_scores(glitches, self.weights)
-        n_clean = int(round(self.fraction * len(sample)))
-        order = np.argsort(-scores, kind="stable")
-        chosen = set(int(i) for i in order[:n_clean])
-        if not chosen:
-            return sample.copy()
-        cleaned_subset = self.strategy.clean(
-            sample.subset(sorted(chosen)), context
-        )
-        cleaned_iter = iter(cleaned_subset)
-        out = []
-        for i, series in enumerate(sample):
-            if i in chosen:
-                out.append(next(cleaned_iter))
-            else:
-                out.append(series.copy())
-        return StreamDataset(out)
-
-    def clean_block(
-        self, block: SampleBlock, context: CleaningContext
-    ) -> Optional[SampleBlock]:
-        """Block path: whole-block ranking, then the wrapped strategy's block
-        path on the chosen sub-block; the merge is one row scatter. ``None``
-        (fall back to :meth:`clean`) when the wrapped strategy has no block
-        path — capability is known before any random draw."""
+    def clean_block(self, block: SampleBlock, context: CleaningContext) -> SampleBlock:
+        """Whole-block ranking, then the wrapped strategy on the chosen
+        sub-block; the merge is one row scatter."""
         if self.fraction == 0.0:
             return block.copy()
         if self.fraction == 1.0:
             return self.strategy.clean_block(block, context)
-        suite = self._ranking_suite(context)
-        glitches = suite.annotate_block(block)
-        scores = glitches.series_scores(self.weights.as_array())
+        glitches = self._ranking_suite(context).annotate_block(block)
+        scores = series_glitch_scores_block(glitches, self.weights)
         n_clean = int(round(self.fraction * block.n_series))
         order = np.argsort(-scores, kind="stable")
-        chosen = sorted(int(i) for i in order[:n_clean])
-        if not chosen:
+        chosen = np.sort(order[:n_clean])
+        if not chosen.size:
             return block.copy()
         cleaned_subset = self.strategy.clean_block(block.take(chosen), context)
-        if cleaned_subset is None:
-            return None
         values = block.values.copy()
-        values[np.asarray(chosen, dtype=np.intp)] = cleaned_subset.values
+        values[chosen] = cleaned_subset.values
         return block.with_values(values)

@@ -15,8 +15,6 @@ import numpy as np
 
 from repro.cleaning.base import CleaningContext, MissingInconsistentTreatment
 from repro.data.block import SampleBlock
-from repro.data.dataset import StreamDataset
-from repro.data.stream import TimeSeries
 from repro.errors import CleaningError
 
 __all__ = ["RegressionImputation"]
@@ -33,7 +31,6 @@ class RegressionImputation(MissingInconsistentTreatment):
     """
 
     name = "regression"
-    supports_block = True
 
     def __init__(self, ridge: float = 1e-6):
         if ridge < 0:
@@ -69,11 +66,8 @@ class RegressionImputation(MissingInconsistentTreatment):
     def _predict_series(
         analysis: np.ndarray, models: "list[tuple[np.ndarray, float]]"
     ) -> np.ndarray:
-        """One series' analysis-scale values with regression-filled gaps.
-
-        Shared by the per-series and block paths so the gap predictions are
-        the same arithmetic (shape for shape) on both.
-        """
+        """One series' ``(T, v)`` analysis-scale values with regression-filled
+        gaps."""
         d = analysis.shape[1]
         filled = analysis.copy()
         for target in range(d):
@@ -89,53 +83,25 @@ class RegressionImputation(MissingInconsistentTreatment):
             filled[gaps, target] = pred
         return filled
 
-    def apply(self, sample: StreamDataset, context: CleaningContext) -> StreamDataset:
-        attributes = sample.attributes
-        blanked: list[np.ndarray] = []
-        masks: list[np.ndarray] = []
-        for series in sample:
-            mask = context.treatable_mask(series)
-            values = series.values.copy()
-            values[mask] = np.nan
-            blanked.append(context.to_analysis(values, attributes))
-            masks.append(mask)
-        pooled = np.concatenate(blanked, axis=0)
-        models = self._fit(pooled)
-        means = context.ideal_means
-
-        treated: list[TimeSeries] = []
-        for series, analysis, mask in zip(sample, blanked, masks):
-            filled = self._predict_series(analysis, models)
-            raw_filled = context.from_analysis(filled, attributes)
-            values = series.values.copy()
-            values[mask] = raw_filled[mask]
-            # Cells with no observed predictors fall back to the ideal mean.
-            for j, attr in enumerate(attributes):
-                hole = mask[:, j] & np.isnan(values[:, j])
-                values[hole, j] = means[attr]
-            treated.append(series.with_values(values))
-        return StreamDataset(treated)
-
     def apply_block(self, block: SampleBlock, context: CleaningContext) -> SampleBlock:
-        """Block path: vectorised blanking/transform/pooling and one model
-        fit; the per-series gap predictions replay the per-series arithmetic
-        (same matrix shapes) so the result is bitwise-identical to
-        :meth:`apply`."""
+        """Vectorised blanking/transform/pooling and one model fit over the
+        valid rows; the gap predictions then run per series on its own
+        ``[:lengths[i]]`` rows."""
         attributes = block.attributes
-        mask = context.treatable_mask_values(block.values, attributes)
+        mask = context.treatable_mask_block(block)
         blanked = block.values.copy()
         blanked[mask] = np.nan
         analysis = context.to_analysis(blanked, attributes)
-        pooled = analysis.reshape(-1, analysis.shape[-1])
-        models = self._fit(pooled)
+        models = self._fit(block.pool_rows(analysis))
         means = context.ideal_means
 
-        filled = np.empty_like(analysis)
-        for i in range(block.n_series):
-            filled[i] = self._predict_series(analysis[i], models)
+        filled = np.full_like(analysis, np.nan)
+        for i, length in enumerate(block.lengths.tolist()):
+            filled[i, :length] = self._predict_series(analysis[i, :length], models)
         raw_filled = context.from_analysis(filled, attributes)
         values = block.values.copy()
         values[mask] = raw_filled[mask]
+        # Cells with no observed predictors fall back to the ideal mean.
         for j, attr in enumerate(attributes):
             col = values[..., j]
             hole = mask[..., j] & np.isnan(col)

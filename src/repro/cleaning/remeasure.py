@@ -13,12 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from typing import Optional
-
 from repro.cleaning.base import CleaningContext, CleaningStrategy
 from repro.data.block import SampleBlock
-from repro.data.dataset import StreamDataset
-from repro.data.stream import TimeSeries
 from repro.errors import CleaningError
 from repro.utils.validation import check_fraction
 
@@ -45,54 +41,17 @@ class RemeasureStrategy(CleaningStrategy):
         self.coverage = check_fraction(coverage, "coverage")
         self.include_outliers = bool(include_outliers)
 
-    def clean(self, sample: StreamDataset, context: CleaningContext) -> StreamDataset:
-        attributes = sample.attributes
-
-        def treat(series: TimeSeries) -> TimeSeries:
-            if series.truth is None:
-                raise CleaningError(
-                    f"series {series.node} has no ground truth; re-measurement "
-                    "is only possible on generated data"
-                )
-            mask = context.treatable_mask(series)
-            if self.include_outliers:
-                analysis = context.to_analysis(series.values, attributes)
-                for j, attr in enumerate(attributes):
-                    if attr not in context.limits:
-                        continue
-                    lo, hi = context.limits.bounds(attr)
-                    col = analysis[:, j]
-                    with np.errstate(invalid="ignore"):
-                        mask[:, j] |= np.isfinite(col) & ((col < lo) | (col > hi))
-            if self.coverage < 1.0 and mask.any():
-                flat = np.flatnonzero(mask.ravel())
-                keep = context.rng.choice(
-                    flat,
-                    size=int(round(self.coverage * flat.size)),
-                    replace=False,
-                )
-                mask = np.zeros_like(mask).ravel()
-                mask[keep] = True
-                mask = mask.reshape(series.values.shape)
-            values = series.values.copy()
-            values[mask] = series.truth[mask]
-            return series.with_values(values)
-
-        return sample.map(treat)
-
-    def clean_block(
-        self, block: SampleBlock, context: CleaningContext
-    ) -> Optional[SampleBlock]:
-        """Block path: mask evaluation and truth scatter run whole-block;
-        only the coverage-budget draw stays per series (it must consume
-        ``context.rng`` in the per-series order to match :meth:`clean`)."""
+    def clean_block(self, block: SampleBlock, context: CleaningContext) -> SampleBlock:
+        """Mask evaluation and truth scatter run whole-block; only the
+        coverage-budget draw runs per series (in series order, over each
+        series' own ``[:lengths[i]]`` cells)."""
         if block.truth is None:
             raise CleaningError(
                 "sample block has no ground truth; re-measurement is only "
                 "possible on generated data"
             )
         attributes = block.attributes
-        mask = context.treatable_mask_values(block.values, attributes)
+        mask = context.treatable_mask_block(block)
         if self.include_outliers:
             analysis = context.to_analysis(block.values, attributes)
             for j, attr in enumerate(attributes):
@@ -103,8 +62,8 @@ class RemeasureStrategy(CleaningStrategy):
                 with np.errstate(invalid="ignore"):
                     mask[..., j] |= np.isfinite(col) & ((col < lo) | (col > hi))
         if self.coverage < 1.0:
-            for i in range(block.n_series):
-                series_mask = mask[i]
+            for i, length in enumerate(block.lengths.tolist()):
+                series_mask = mask[i, :length]
                 if not series_mask.any():
                     continue
                 flat = np.flatnonzero(series_mask.ravel())
@@ -113,9 +72,9 @@ class RemeasureStrategy(CleaningStrategy):
                     size=int(round(self.coverage * flat.size)),
                     replace=False,
                 )
-                series_mask = np.zeros_like(series_mask).ravel()
-                series_mask[keep] = True
-                mask[i] = series_mask.reshape(mask[i].shape)
+                chosen = np.zeros(series_mask.size, dtype=bool)
+                chosen[keep] = True
+                mask[i, :length] = chosen.reshape(series_mask.shape)
         values = block.values.copy()
         values[mask] = block.truth[mask]
         return block.with_values(values)

@@ -13,8 +13,6 @@ import numpy as np
 
 from repro.cleaning.base import CleaningContext, OutlierTreatment
 from repro.data.block import SampleBlock
-from repro.data.dataset import StreamDataset
-from repro.data.stream import TimeSeries
 from repro.errors import ValidationError
 
 __all__ = ["WinsorizeOutliers"]
@@ -30,40 +28,12 @@ class WinsorizeOutliers(OutlierTreatment):
     """
 
     name = "winsorize"
-    supports_block = True
-
-    def apply(self, sample: StreamDataset, context: CleaningContext) -> StreamDataset:
-        limits = context.limits
-        attributes = sample.attributes
-
-        def treat(series: TimeSeries) -> TimeSeries:
-            analysis = context.to_analysis(series.values, attributes)
-            raw = series.values.copy()
-            for j, attr in enumerate(attributes):
-                if attr not in limits:
-                    continue
-                lo, hi = limits.bounds(attr)
-                col = analysis[:, j]
-                with np.errstate(invalid="ignore"):
-                    outlying = np.isfinite(col) & ((col < lo) | (col > hi))
-                if not outlying.any():
-                    continue
-                clipped = analysis.copy()
-                clipped[outlying, j] = np.clip(col[outlying], lo, hi)
-                repaired_raw = context.from_analysis(clipped, attributes)
-                raw[outlying, j] = repaired_raw[outlying, j]
-            return series.with_values(raw)
-
-        return sample.map(treat)
 
     def apply_block(self, block: SampleBlock, context: CleaningContext) -> SampleBlock:
-        """Block path: clip every attribute across the whole ``(n, T, v)``
-        tensor at once, mapping only the clipped cells back through the
-        transform's inverse. The per-series path routes the whole series
-        array through ``from_analysis`` and reads one column back; since the
-        inverse is elementwise and untransformed columns pass through
-        unchanged, repairing just the gathered outlying cells yields the
-        identical raw values cell for cell."""
+        """Clip every attribute across the whole ``(n, T, v)`` tensor at once,
+        mapping only the clipped cells back through the transform's inverse
+        (elementwise, so untouched cells keep their raw bits). Padding is
+        NaN and therefore never outlying."""
         limits = context.limits
         attributes = block.attributes
         transform = context.transform
@@ -82,8 +52,8 @@ class WinsorizeOutliers(OutlierTreatment):
             if transform is None:
                 repaired = clipped
             elif transform.inverse is None:
-                # Match the per-series path, which raises through
-                # ``from_analysis`` whenever any attribute needs repair.
+                # Repair needs the raw scale back: refuse, as
+                # ``from_analysis`` does.
                 raise ValidationError(f"transform {transform.name!r} has no inverse")
             elif attr == transform.attribute:
                 with np.errstate(invalid="ignore", over="ignore"):

@@ -37,28 +37,25 @@ def _pooled_analysis(
     transform: Optional[ScaleTransform],
     keep_partial: bool = False,
 ) -> np.ndarray:
-    """Analysis-scale rows of a data set or sample block.
+    """Analysis-scale rows of a sample block (a data set is laid out as one).
 
-    The block branch transforms the whole ``(n, T, v)`` tensor in place of
-    per-series passes and reads the pooled matrix straight off the block
-    columns; row order and every cell match the per-series pooling, so the
-    downstream distances are bitwise-identical across layouts. Rows with a
-    NaN are dropped by default (the complete-case semantics multivariate
-    binning needs); ``keep_partial`` keeps them for consumers with
-    per-attribute NaN handling (the ECDF-sketch distances).
+    The whole ``(n, T, v)`` tensor is transformed at once and its valid rows
+    pooled series-major, time-minor — the ``StreamDataset.pooled`` order.
+    Rows with a NaN are dropped by default (the complete-case semantics
+    multivariate binning needs); ``keep_partial`` keeps them for consumers
+    with per-attribute NaN handling (the ECDF-sketch distances). Padding
+    rows are never returned.
     """
-    if isinstance(sample, SampleBlock):
-        values = (
-            transform.forward_values(sample.values, sample.attributes)
-            if transform is not None
-            else sample.values
-        )
-        flat = values.reshape(-1, values.shape[-1])
-        if keep_partial:
-            return flat
-        return flat[~np.isnan(flat).any(axis=1)]
-    scaled = transform.apply_dataset(sample) if transform is not None else sample
-    return scaled.pooled(dropna="none" if keep_partial else "any")
+    block = sample.to_block() if isinstance(sample, StreamDataset) else sample
+    values = (
+        transform.forward_values(block.values, block.attributes)
+        if transform is not None
+        else block.values
+    )
+    rows = block.pool_rows(values)
+    if keep_partial:
+        return rows
+    return rows[~np.isnan(rows).any(axis=1)]
 
 
 def statistical_distortion(
@@ -103,10 +100,9 @@ def statistical_distortion_batch(
     that implement a cached ``pairwise`` path (the default EMD does) bin
     the reference once on a grid shared by all candidates instead of
     re-binning it per strategy. Returns one distortion per treated data
-    set, in order. Either side may be a columnar
-    :class:`~repro.data.block.SampleBlock` — its pooled rows are read
-    straight off the block columns, bitwise-identical to the per-series
-    pooling.
+    set, in order. Either side may be a data set or a
+    :class:`~repro.data.block.SampleBlock`; pooled rows are read straight
+    off the block columns.
 
     **Shared-support semantics** (multivariate EMD): the grid spans the
     pooled union of the dirty sample and *every* treated candidate — the

@@ -11,6 +11,11 @@
 4. score glitch improvement with the weighted glitch index and statistical
    distortion with the configured distance (EMD by default).
 
+Every replication pair travels as two :class:`~repro.data.block.SampleBlock`
+tensors — NaN-padded with a per-series length vector when series lengths
+differ — and steps 2-4 run as whole-block array programs on them: one
+sample layout, whatever the population's shape.
+
 Replications are independent by construction — each draws from its own
 pre-spawned random stream — so the loop is expressed as picklable per-pair
 work units evaluated through an :mod:`execution backend
@@ -33,12 +38,7 @@ from repro.core.distortion import _pooled_analysis, statistical_distortion_batch
 from repro.core.evaluation import StrategyOutcome, StrategySummary, summarize_outcomes
 from repro.core.executor import ExecutionBackend, parse_backend_spec, resolve_backend
 from repro.core.resilience import drain_degradations
-from repro.core.glitch_index import (
-    GlitchWeights,
-    series_glitch_scores,
-    series_glitch_scores_block,
-)
-from repro.data.block import block_fast_path_enabled
+from repro.core.glitch_index import GlitchWeights, series_glitch_scores_block
 from repro.data.dataset import StreamDataset
 from repro.distance.base import Distance
 from repro.distance.emd import EarthMoverDistance
@@ -214,7 +214,6 @@ def _shared_context(template: CleaningContext, seed: Seed) -> CleaningContext:
         constraints=template.constraints,
         sigma_k=template.sigma_k,
         seed=seed,
-        ideal_block=template.ideal_block,
     )
     ctx._memo = template._memo
     for name in ("limits", "ideal_means", "analysis_means"):
@@ -271,36 +270,25 @@ def evaluate_pair_panels(
             f"got {len(panel_seeds)} seeds for {len(panels)} panels"
         )
     template = CleaningContext(
-        ideal=pair.ideal,
+        ideal=pair.ideal_block,
         transform=config.transform,
         constraints=constraints,
         sigma_k=config.sigma_k,
         seed=None,
-        ideal_block=getattr(pair, "ideal_block", None),
     )
     suite = DetectorSuite(
         constraints=constraints,
         outlier_detector=SigmaOutlierDetector(template.limits),
         transform=config.transform,
     )
-    block = getattr(pair, "dirty_block", None)
-    use_block = block is not None and block_fast_path_enabled()
+    block = pair.dirty_block
     # Glitch indexes are reported per reference sample of 100 series, so
     # experiments with different B land on directly comparable axes —
     # the paper's Figures 6(a) and 6(c) (B = 100 vs 500) share their
     # improvement axis, which only works under such a normalisation.
-    if use_block:
-        per_100 = 100.0 / block.n_series
-        dirty_glitches = suite.annotate_block(block)
-        g_dirty = per_100 * float(
-            series_glitch_scores_block(dirty_glitches, weights).sum()
-        )
-    else:
-        per_100 = 100.0 / len(pair.dirty)
-        dirty_glitches = suite.annotate_dataset(pair.dirty)
-        g_dirty = per_100 * float(
-            series_glitch_scores(dirty_glitches, weights).sum()
-        )
+    per_100 = 100.0 / block.n_series
+    dirty_glitches = suite.annotate_block(block)
+    g_dirty = per_100 * float(series_glitch_scores_block(dirty_glitches, weights).sum())
     dirty_fractions = dirty_glitches.record_fractions()
     # The pooled dirty reference is panel-independent (for one NaN
     # semantics); pool it once per semantics and hand it to every panel's
@@ -313,34 +301,14 @@ def evaluate_pair_panels(
         keep_partial = not getattr(distance, "complete_case", True)
         if keep_partial not in pooled_refs:
             pooled_refs[keep_partial] = _pooled_analysis(
-                block if use_block else pair.dirty,
-                config.transform,
-                keep_partial=keep_partial,
+                block, config.transform, keep_partial=keep_partial
             )
-        if use_block:
-            treated_list: list = []
-            for strategy in panel:
-                # A strategy without a block implementation transparently
-                # falls back to its per-series ``clean`` (on zero-copy
-                # views) for just that panel slot.
-                treated = strategy.clean_block(block, context)
-                if treated is None:
-                    treated = strategy.clean(pair.dirty, context).to_block()
-                treated_list.append(treated)
-            distortions = statistical_distortion_batch(
-                block, treated_list, distance=distance,
-                transform=config.transform,
-                pooled_reference=pooled_refs[keep_partial],
-            )
-        else:
-            treated_list = [
-                strategy.clean(pair.dirty, context) for strategy in panel
-            ]
-            distortions = statistical_distortion_batch(
-                pair.dirty, treated_list, distance=distance,
-                transform=config.transform,
-                pooled_reference=pooled_refs[keep_partial],
-            )
+        treated_list = [strategy.clean_block(block, context) for strategy in panel]
+        distortions = statistical_distortion_batch(
+            block, treated_list, distance=distance,
+            transform=config.transform,
+            pooled_reference=pooled_refs[keep_partial],
+        )
         # Derived statistics a panel computed lazily (replacement means,
         # say) are pure — promote them so later panels reuse instead of
         # recompute.
@@ -349,16 +317,10 @@ def evaluate_pair_panels(
                 template.__dict__[name] = context.__dict__[name]
         outcomes = []
         for strategy, treated, distortion in zip(panel, treated_list, distortions):
-            if use_block:
-                treated_glitches = suite.annotate_block(treated)
-                g_treated = per_100 * float(
-                    series_glitch_scores_block(treated_glitches, weights).sum()
-                )
-            else:
-                treated_glitches = suite.annotate_dataset(treated)
-                g_treated = per_100 * float(
-                    series_glitch_scores(treated_glitches, weights).sum()
-                )
+            treated_glitches = suite.annotate_block(treated)
+            g_treated = per_100 * float(
+                series_glitch_scores_block(treated_glitches, weights).sum()
+            )
             outcomes.append(
                 StrategyOutcome(
                     strategy=strategy.name,
@@ -394,11 +356,9 @@ def evaluate_pair_outcomes(
     sample in one batched distortion call, which bins the dirty side once on
     a grid shared by the whole strategy panel.
 
-    Pairs carrying a columnar :class:`~repro.data.block.SampleBlock` (the
-    default for uniform-length populations, see ``generate_test_pairs``) run
-    the whole clean → annotate → score loop on block tensors — bitwise-
-    identical outcomes, a fraction of the wall clock. ``REPRO_BLOCK=0``
-    forces the per-series reference path.
+    The whole clean → annotate → score loop runs on the pair's
+    :class:`~repro.data.block.SampleBlock` tensors (NaN-padded when the
+    population is ragged).
 
     The single-panel specialisation of :func:`evaluate_pair_panels`.
     """

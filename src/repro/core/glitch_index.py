@@ -96,8 +96,9 @@ def series_glitch_scores_block(
 
     Bitwise-identical to :func:`series_glitch_scores` over the equivalent
     :class:`~repro.glitches.types.DatasetGlitches` — the time-axis bit counts
-    are one batched integer reduction and the float tail replays the
-    per-series arithmetic.
+    are one batched integer reduction, each series divides by its own
+    length (padding carries no bits), and the float tail keeps the
+    per-series shapes.
     """
     weights = weights or GlitchWeights()
     return glitches.series_scores(weights.as_array())

@@ -244,58 +244,36 @@ def build_parent_gathers(
     dirty_idx: Sequence[int],
     ideal_idx: Sequence[int],
     entries: Dict[int, TimeSeries],
-    lengths: np.ndarray,
-) -> tuple[ParentGather, ParentGather, bool]:
-    """Both sides' :class:`ParentGather` stand-ins plus the layout decision.
+) -> tuple[ParentGather, ParentGather]:
+    """Both sides' :class:`ParentGather` stand-ins.
 
     *entries* maps population index → series for (at least) every series
-    the replication draws touch; *lengths* holds every series' length so
-    the uniform-layout decision matches the **population**, not the
-    gathered subset — both engines must take the same block/per-series
-    branch for the evaluation arithmetic to be shared.
+    the replication draws touch.
     """
-    dirty_gather = ParentGather(
-        n_total=len(dirty_idx),
-        entries={
-            pos: entries[idx]
-            for pos, idx in enumerate(dirty_idx)
-            if idx in entries
-        },
-        uniform=bool((lengths[list(dirty_idx)] == lengths[dirty_idx[0]]).all()),
-    )
-    ideal_gather = ParentGather(
-        n_total=len(ideal_idx),
-        entries={
-            pos: entries[idx]
-            for pos, idx in enumerate(ideal_idx)
-            if idx in entries
-        },
-        uniform=bool((lengths[list(ideal_idx)] == lengths[ideal_idx[0]]).all()),
-    )
-    use_block = dirty_gather.block_layout and ideal_gather.block_layout
-    return dirty_gather, ideal_gather, use_block
+
+    def gather(side_idx: Sequence[int]) -> ParentGather:
+        return ParentGather(
+            n_total=len(side_idx),
+            entries={
+                pos: entries[idx] for pos, idx in enumerate(side_idx) if idx in entries
+            },
+        )
+
+    return gather(dirty_idx), gather(ideal_idx)
 
 
 def iter_test_pairs(
     draws: Sequence[tuple[np.ndarray, np.ndarray]],
     dirty_gather: ParentGather,
     ideal_gather: ParentGather,
-    use_block: bool,
 ) -> Iterator[TestPair]:
     """Materialise the replication pairs of pre-drawn index streams."""
     for i, (d_idx, i_idx) in enumerate(draws):
-        if use_block:
-            yield TestPair(
-                index=i,
-                dirty_block=dirty_gather.sample(d_idx, block=True),
-                ideal_block=ideal_gather.sample(i_idx, block=True),
-            )
-        else:
-            yield TestPair(
-                index=i,
-                dirty=dirty_gather.sample(d_idx, block=False),
-                ideal=ideal_gather.sample(i_idx, block=False),
-            )
+        yield TestPair(
+            index=i,
+            dirty_block=dirty_gather.sample(d_idx),
+            ideal_block=ideal_gather.sample(i_idx),
+        )
 
 
 # ---------------------------------------------------------------------------

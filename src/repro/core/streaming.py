@@ -473,12 +473,12 @@ class StreamingExperiment:
                     dirty_idx, [s for _, s in chunks]
                 )
 
-            dirty_gather, ideal_gather, use_block = build_parent_gathers(
-                dirty_idx, ideal_idx, entries, self.feed.lengths
+            dirty_gather, ideal_gather = build_parent_gathers(
+                dirty_idx, ideal_idx, entries
             )
 
             result = run_pair_stream(
-                iter_test_pairs(draws, dirty_gather, ideal_gather, use_block),
+                iter_test_pairs(draws, dirty_gather, ideal_gather),
                 strategies,
                 config=cfg,
                 distance=distance,

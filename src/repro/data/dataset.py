@@ -9,7 +9,7 @@ are instances of this class.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -18,6 +18,16 @@ from repro.data.stream import TimeSeries
 from repro.errors import DataShapeError, ValidationError
 
 __all__ = ["StreamDataset"]
+
+
+def _stack_padded(arrays: Sequence[np.ndarray], width: int) -> np.ndarray:
+    """Stack ``(T_i, v)`` arrays into one ``(n, width, v)`` tensor, NaN-padded."""
+    if all(a.shape[0] == width for a in arrays):
+        return np.stack(arrays)
+    out = np.full((len(arrays), width) + arrays[0].shape[1:], np.nan)
+    for row, a in zip(out, arrays):
+        row[: a.shape[0]] = a
+    return out
 
 
 class StreamDataset:
@@ -152,52 +162,42 @@ class StreamDataset:
     def to_block(self) -> SampleBlock:
         """This data set as one contiguous ``(n, T, v)`` sample block.
 
-        Requires a uniform series length (``T_ijk`` equal for every member);
-        ragged data sets raise :class:`~repro.errors.DataShapeError` and stay
-        on the per-series path. The ground-truth tensor is included only when
-        every member series carries one. Use :meth:`try_to_block` for the
-        non-raising form.
+        ``T`` is the longest member's length; shorter series (and their
+        truth) are NaN-padded, with ``SampleBlock.lengths`` recording each
+        one's real length. The ground-truth tensor is included only when
+        every member series carries one.
         """
-        lengths = {s.length for s in self._series}
-        if len(lengths) != 1:
-            raise DataShapeError(
-                f"to_block needs a uniform series length, got lengths {sorted(lengths)}"
-            )
-        values = np.stack([s.values for s in self._series])
+        lengths = np.array([s.length for s in self._series], dtype=np.intp)
+        width = int(lengths.max())
         truth = None
         if all(s.truth is not None for s in self._series):
-            truth = np.stack([s.truth for s in self._series])
+            truth = _stack_padded([s.truth for s in self._series], width)
         return SampleBlock(
-            values=values,
+            values=_stack_padded([s.values for s in self._series], width),
             attributes=self.attributes,
             nodes=tuple(s.node for s in self._series),
             truth=truth,
+            lengths=lengths,
         )
-
-    def try_to_block(self) -> Optional[SampleBlock]:
-        """:meth:`to_block`, or ``None`` when the layout does not apply."""
-        try:
-            return self.to_block()
-        except DataShapeError:
-            return None
 
     @staticmethod
     def from_block(block: SampleBlock) -> "StreamDataset":
         """A data set of **zero-copy** series views into *block*.
 
-        Each member's ``values`` (and ``truth``) array is a view of the block
-        tensor: mutating a view mutates the block, and vice versa. Strategies
-        never mutate their input, so sharing is safe throughout the library;
-        copy the block first if the caller intends in-place edits.
+        Each member's ``values`` (and ``truth``) array is a view of its
+        series' valid rows ``[:lengths[i]]`` in the block tensor: mutating a
+        view mutates the block, and vice versa. Strategies never mutate
+        their input, so sharing is safe throughout the library; copy the
+        block first if the caller intends in-place edits.
         """
         return StreamDataset(
             TimeSeries(
                 block.nodes[i],
-                block.values[i],
+                block.values[i, :length],
                 block.attributes,
-                None if block.truth is None else block.truth[i],
+                None if block.truth is None else block.truth[i, :length],
             )
-            for i in range(block.n_series)
+            for i, length in enumerate(block.lengths.tolist())
         )
 
     @staticmethod

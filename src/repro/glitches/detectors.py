@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from repro.data.dataset import StreamDataset
 from repro.data.stream import TimeSeries
 from repro.errors import ValidationError
 from repro.glitches.constraints import ConstraintSet, paper_constraints
-from repro.glitches.missing import detect_missing
 from repro.glitches.outliers import SigmaLimits, SigmaOutlierDetector
 from repro.glitches.types import (
     BlockGlitches,
@@ -167,15 +166,52 @@ class DetectorSuite:
 
     # -- annotation --------------------------------------------------------------
 
+    def _bits(
+        self,
+        values: np.ndarray,
+        attributes: tuple[str, ...],
+        nodes: Sequence,
+        lengths: Sequence[int],
+    ) -> np.ndarray:
+        """Glitch bits ``(..., v, m)`` of a ``(T, v)`` series or an
+        ``(n, T, v)`` block tensor.
+
+        The one detection routine behind :meth:`annotate` and
+        :meth:`annotate_block`: missing, inconsistency and outlier detection
+        each run as one elementwise pass over the array (a series is not
+        lifted to a block — on tiny windows the extra axis costs more than
+        the detection). An outlier detector without an array-level
+        ``detect_values`` is shown each series' own ``[:lengths[i]]`` rows
+        instead.
+        """
+        bits = np.zeros(values.shape + (N_GLITCH_TYPES,), dtype=bool)
+        bits[..., int(GlitchType.MISSING)] = np.isnan(values)
+        bits[..., int(GlitchType.INCONSISTENT)] = self.constraints.evaluate_values(
+            values, attributes
+        )
+        if self.outlier_detector is not None:
+            scaled = (
+                self.transform.forward_values(values, attributes)
+                if self.transform
+                else values
+            )
+            detect_values = getattr(self.outlier_detector, "detect_values", None)
+            if detect_values is not None:
+                bits[..., int(GlitchType.OUTLIER)] = detect_values(scaled, attributes)
+            else:  # pragma: no cover - custom detector shim
+                rows = scaled.reshape((-1,) + scaled.shape[-2:])
+                mask = np.zeros(rows.shape, dtype=bool)
+                for i, length in enumerate(lengths):
+                    series = TimeSeries(nodes[i], rows[i, :length], attributes)
+                    mask[i, :length] = self.outlier_detector.detect(series)
+                bits[..., int(GlitchType.OUTLIER)] = mask.reshape(scaled.shape)
+        return bits
+
     def annotate(self, series: TimeSeries) -> GlitchMatrix:
         """Glitch bit matrix ``(T, v, m)`` of one series."""
-        bits = np.zeros((series.length, series.n_attributes, N_GLITCH_TYPES), dtype=bool)
-        bits[:, :, int(GlitchType.MISSING)] = detect_missing(series)
-        bits[:, :, int(GlitchType.INCONSISTENT)] = self.constraints.evaluate(series)
-        if self.outlier_detector is not None:
-            scaled = self.transform.apply(series) if self.transform else series
-            bits[:, :, int(GlitchType.OUTLIER)] = self.outlier_detector.detect(scaled)
-        return GlitchMatrix(bits)
+        return GlitchMatrix(
+            self._bits(series.values, series.attributes, (series.node,), (series.length,))
+        )
 
     def annotate_dataset(self, dataset: StreamDataset) -> DatasetGlitches:
         """Glitch annotations for every series, in data-set order."""
@@ -184,37 +220,15 @@ class DetectorSuite:
     def annotate_block(self, block: "SampleBlock") -> BlockGlitches:
         """Glitch bit tensor ``(n, T, v, m)`` of a whole sample block.
 
-        The columnar analogue of :meth:`annotate_dataset`: missing,
-        inconsistency and outlier detection each run as one whole-block
-        boolean reduction instead of ``n`` per-series passes. Every bit is
-        identical to the per-series path (the detectors are elementwise); an
-        outlier detector without an array-level ``detect_values`` falls back
-        to series views.
+        Padding carries no glitch bits: a NaN past a series' length is not a
+        missing value.
         """
-        values = block.values
-        bits = np.zeros(values.shape + (N_GLITCH_TYPES,), dtype=bool)
-        bits[..., int(GlitchType.MISSING)] = np.isnan(values)
-        bits[..., int(GlitchType.INCONSISTENT)] = self.constraints.evaluate_values(
-            values, block.attributes
+        bits = self._bits(
+            block.values, block.attributes, block.nodes, block.lengths.tolist()
         )
-        if self.outlier_detector is not None:
-            scaled = (
-                self.transform.forward_values(values, block.attributes)
-                if self.transform
-                else values
-            )
-            detect_values = getattr(self.outlier_detector, "detect_values", None)
-            if detect_values is not None:
-                bits[..., int(GlitchType.OUTLIER)] = detect_values(
-                    scaled, block.attributes
-                )
-            else:  # pragma: no cover - custom detector shim
-                for i in range(block.n_series):
-                    series = TimeSeries(block.nodes[i], scaled[i], block.attributes)
-                    bits[i, :, :, int(GlitchType.OUTLIER)] = self.outlier_detector.detect(
-                        series
-                    )
-        return BlockGlitches(bits)
+        if block.padded:
+            bits &= block.valid[:, :, None, None]
+        return BlockGlitches(bits, lengths=block.lengths)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         t = self.transform.name if self.transform else "raw"

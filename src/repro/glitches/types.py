@@ -8,7 +8,7 @@ one ``(T, v, m)`` boolean tensor per series.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -183,22 +183,31 @@ class DatasetGlitches:
 class BlockGlitches:
     """Glitch annotation of a whole sample block: one ``(n, T, v, m)`` tensor.
 
-    The columnar counterpart of :class:`DatasetGlitches` for uniform-length
-    samples: summaries run as whole-tensor integer reductions, and every
-    float it reports is **bitwise-identical** to the per-series object path
-    (integer counts are order-independent, and the per-series float
-    arithmetic is replayed with the exact shapes the per-series path uses).
+    The columnar counterpart of :class:`DatasetGlitches`. ``lengths`` holds
+    each series' real length (default: all ``T``); padding rows carry no
+    bits. Summaries run as whole-tensor integer reductions, and every float
+    equals the :class:`DatasetGlitches` one of the same series bit for bit
+    (integer counts are order-independent, each score divides by its own
+    series' length, and record fractions divide by the total real length).
     """
 
-    __slots__ = ("bits",)
+    __slots__ = ("bits", "lengths")
 
-    def __init__(self, bits: np.ndarray):
+    def __init__(self, bits: np.ndarray, lengths: Optional[np.ndarray] = None):
         bits = np.asarray(bits, dtype=bool)
         if bits.ndim != 4 or bits.shape[3] != N_GLITCH_TYPES:
             raise DataShapeError(
                 f"bits must be (n, T, v, {N_GLITCH_TYPES}), got shape {bits.shape}"
             )
+        n, width = bits.shape[:2]
+        if lengths is None:
+            lengths = np.full(n, width, dtype=np.intp)
+        else:
+            lengths = np.asarray(lengths, dtype=np.intp)
+            if lengths.shape != (n,):
+                raise DataShapeError(f"lengths must be ({n},), got {lengths.shape}")
         self.bits = bits
+        self.lengths = lengths
 
     # -- shape -----------------------------------------------------------------
 
@@ -209,7 +218,7 @@ class BlockGlitches:
 
     @property
     def length(self) -> int:
-        """Shared series length ``T``."""
+        """Block width ``T``."""
         return int(self.bits.shape[1])
 
     def __len__(self) -> int:
@@ -219,7 +228,7 @@ class BlockGlitches:
 
     def matrix(self, index: int) -> GlitchMatrix:
         """The per-series :class:`GlitchMatrix` of one member (a view)."""
-        return GlitchMatrix(self.bits[index])
+        return GlitchMatrix(self.bits[index, : int(self.lengths[index])])
 
     def to_dataset_glitches(self) -> DatasetGlitches:
         """Per-series object form (views into the shared tensor)."""
@@ -232,24 +241,23 @@ class BlockGlitches:
 
         ``weights_vector`` is the ``(m,)`` array from
         :meth:`~repro.core.glitch_index.GlitchWeights.as_array`. The time-axis
-        bit counts are one batched integer reduction; the tiny per-series
-        float tail (``(v, m) / T @ w``) replays the per-series expression
-        shape-for-shape so the scores match :func:`series_glitch_scores` bit
-        for bit.
+        bit counts are one batched integer reduction, divided by each
+        series' own length; the tiny per-series float tail
+        (``(v, m) @ w``, summed) keeps the per-series shapes. A zero-length
+        series scores 0.0.
         """
-        n, length = self.n_series, self.length
-        scores = np.zeros(n)
-        if length == 0:
-            return scores
         counts = self.bits.sum(axis=1)  # (n, v, m) exact integer counts
-        normalised = counts / length  # elementwise, equals each per-series divide
-        for i in range(n):
-            scores[i] = float((normalised[i] @ weights_vector).sum())
-        return scores
+        lengths = self.lengths[:, None, None]
+        normalised = np.divide(
+            counts, lengths, out=np.zeros(counts.shape), where=lengths > 0
+        )
+        return np.array(
+            [float((row @ weights_vector).sum()) for row in normalised], dtype=float
+        )
 
     def record_fraction(self, glitch: GlitchType) -> float:
         """Record-level glitch rate pooled over all series."""
-        total = self.n_series * self.length
+        total = int(self.lengths.sum())
         if total == 0:
             return 0.0
         hits = int(self.bits[:, :, :, int(glitch)].any(axis=2).sum())

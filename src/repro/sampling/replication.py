@@ -5,14 +5,13 @@ from the dirty data set D and the ideal data set DI, to create the test pair
 {Di, DiI}, i = 1..R. Each pair is called a replication, with B records in
 each of the data sets in the test pair."
 
-When the populations have a uniform series length, each replication is drawn
-as a **columnar sample block** (:class:`~repro.data.block.SampleBlock`): one
-C-level index gather into the parent block instead of ``B`` per-series object
-selections, and — when work units ship to process-pool workers — one array
-pickle instead of ``B`` ``TimeSeries`` pickles. The per-series ``dirty`` /
-``ideal`` data sets are materialised lazily as zero-copy views, so consumers
-of either layout see the exact same values. ``REPRO_BLOCK=0`` disables the
-block layout entirely (ragged populations skip it automatically).
+Each replication is drawn as a **columnar sample block**
+(:class:`~repro.data.block.SampleBlock`): one C-level index gather into the
+parent block instead of ``B`` per-series object selections, and — when work
+units ship to process-pool workers — one array pickle instead of ``B``
+``TimeSeries`` pickles. Ragged populations travel the same way, NaN-padded
+with a per-series length vector. The per-series ``dirty`` / ``ideal`` data
+sets are materialised lazily as zero-copy views of each series' valid rows.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.data.block import SampleBlock, block_fast_path_enabled
+from repro.data.block import SampleBlock
 from repro.data.dataset import StreamDataset
 from repro.data.stream import TimeSeries
 from repro.errors import ValidationError
@@ -40,64 +39,43 @@ __all__ = [
 class TestPair:
     """One replication: a dirty sample ``Di`` and an ideal sample ``DiI``.
 
-    Holds either layout of each side — per-series :class:`StreamDataset`,
-    columnar :class:`SampleBlock`, or both. Whichever is absent is derived on
-    first access (`dirty`/`ideal` materialise zero-copy views of the block),
-    and pickling prefers the block so process workers receive one contiguous
-    array per side.
+    Both sides are :class:`SampleBlock` s; ``dirty``/``ideal`` materialise
+    zero-copy per-series views on first access, and pickling ships only
+    the blocks, so process workers receive one contiguous array per side.
     """
 
     __slots__ = ("index", "dirty_block", "ideal_block", "_dirty", "_ideal")
 
-    def __init__(
-        self,
-        index: int,
-        dirty: Optional[StreamDataset] = None,
-        ideal: Optional[StreamDataset] = None,
-        dirty_block: Optional[SampleBlock] = None,
-        ideal_block: Optional[SampleBlock] = None,
-    ):
-        if dirty is None and dirty_block is None:
-            raise ValidationError("TestPair needs dirty or dirty_block")
-        if ideal is None and ideal_block is None:
-            raise ValidationError("TestPair needs ideal or ideal_block")
+    def __init__(self, index: int, dirty_block: SampleBlock, ideal_block: SampleBlock):
         self.index = int(index)
         self.dirty_block = dirty_block
         self.ideal_block = ideal_block
-        self._dirty = dirty
-        self._ideal = ideal
+        self._dirty: Optional[StreamDataset] = None
+        self._ideal: Optional[StreamDataset] = None
 
     @property
     def dirty(self) -> StreamDataset:
-        """The dirty sample ``Di`` (materialised from the block if needed)."""
+        """The dirty sample ``Di`` as series views of the block."""
         if self._dirty is None:
             self._dirty = StreamDataset.from_block(self.dirty_block)
         return self._dirty
 
     @property
     def ideal(self) -> StreamDataset:
-        """The ideal sample ``DiI`` (materialised from the block if needed)."""
+        """The ideal sample ``DiI`` as series views of the block."""
         if self._ideal is None:
             self._ideal = StreamDataset.from_block(self.ideal_block)
         return self._ideal
 
     def __getstate__(self):
-        # Ship one array per side when the block layout exists; the view
-        # data sets are rebuilt lazily on the receiving end.
-        return (
-            self.index,
-            self.dirty_block,
-            self.ideal_block,
-            None if self.dirty_block is not None else self._dirty,
-            None if self.ideal_block is not None else self._ideal,
-        )
+        return (self.index, self.dirty_block, self.ideal_block)
 
     def __setstate__(self, state) -> None:
-        self.index, self.dirty_block, self.ideal_block, self._dirty, self._ideal = state
+        self.index, self.dirty_block, self.ideal_block = state
+        self._dirty = self._ideal = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        layout = "block" if self.dirty_block is not None else "series"
-        return f"TestPair(index={self.index}, layout={layout})"
+        return f"TestPair(index={self.index}, B={self.dirty_block.n_series})"
 
 
 def replication_index_streams(
@@ -128,14 +106,15 @@ def replication_index_streams(
 class ParentGather:
     """A bounded stand-in for one side's parent population.
 
-    The block path materialises the *whole* population as one parent block
-    and replications gather into it. At out-of-core scale the streaming
-    engine instead gathers only the few series any replication actually
-    touches — at most ``R x B`` distinct of them, independent of the
-    population size — and this class replays the parent-block semantics on
-    that bounded subset: ``sample(idx)`` returns exactly the
-    :class:`SampleBlock` (or per-series data set) the full parent would
-    have produced for the same index draw, series-index vector included.
+    The in-memory path materialises the *whole* population as one parent
+    block and replications gather into it. At out-of-core scale the
+    streaming engine instead gathers only the few series any replication
+    actually touches — at most ``R x B`` distinct of them, independent of
+    the population size — and this class replays the parent-block semantics
+    on that bounded subset: ``sample(idx)`` returns exactly the values,
+    lengths and series-index vector the full parent would have produced for
+    the same index draw. The gathered block is padded to the longest
+    *gathered* series; outcomes never depend on the pad width.
 
     Parameters
     ----------
@@ -144,18 +123,9 @@ class ParentGather:
         in for; indices are validated against it.
     entries:
         ``parent index -> TimeSeries`` for every gathered series.
-    uniform:
-        Whether the *full* parent population has a uniform series length —
-        the layout decision must match the population, not the gathered
-        subset, so both paths take the same block/per-series branch.
     """
 
-    def __init__(
-        self,
-        n_total: int,
-        entries: Mapping[int, TimeSeries],
-        uniform: bool,
-    ):
+    def __init__(self, n_total: int, entries: Mapping[int, TimeSeries]):
         self.n_total = check_positive_int(n_total, "n_total")
         self._entries = dict(entries)
         for idx in self._entries:
@@ -163,23 +133,19 @@ class ParentGather:
                 raise ValidationError(
                     f"gathered index {idx} out of range for {self.n_total} series"
                 )
-        self.uniform = bool(uniform)
+        order = sorted(self._entries)
+        self._rows = {idx: row for row, idx in enumerate(order)}
         self._block: Optional[SampleBlock] = None
-        self._rows: Optional[dict[int, int]] = None
-        if self.uniform and block_fast_path_enabled() and self._entries:
-            order = sorted(self._entries)
-            series = [self._entries[i] for i in order]
-            truth = None
-            if all(s.truth is not None for s in series):
-                truth = np.stack([s.truth for s in series])
+        if order:
+            stacked = StreamDataset(self._entries[i] for i in order).to_block()
             self._block = SampleBlock(
-                values=np.stack([s.values for s in series]),
-                attributes=series[0].attributes,
-                nodes=tuple(s.node for s in series),
-                truth=truth,
+                values=stacked.values,
+                attributes=stacked.attributes,
+                nodes=stacked.nodes,
+                truth=stacked.truth,
                 indices=np.array(order, dtype=np.intp),
+                lengths=stacked.lengths,
             )
-            self._rows = {idx: row for row, idx in enumerate(order)}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -189,19 +155,8 @@ class ParentGather:
         """Parent indices present in the gather, ascending."""
         return sorted(self._entries)
 
-    @property
-    def block_layout(self) -> bool:
-        """Whether :meth:`sample` produces :class:`SampleBlock` parents."""
-        return self._block is not None
-
-    def sample(self, indices: Sequence[int], block: Optional[bool] = None):
-        """The sample the full parent would yield for *indices*.
-
-        ``block=None`` follows this gather's own layout; pass ``False`` to
-        force the per-series :class:`StreamDataset` form (needed when the
-        *other* side of a pair is ragged — ``generate_test_pairs`` only uses
-        the block layout when both sides have it).
-        """
+    def sample(self, indices: Sequence[int]) -> SampleBlock:
+        """The sample block the full parent would yield for *indices*."""
         idx = np.asarray(indices, dtype=np.intp)
         missing = [int(i) for i in idx if int(i) not in self._entries]
         if missing:
@@ -209,19 +164,10 @@ class ParentGather:
                 f"indices {missing[:5]} were not gathered; the gather only "
                 f"holds {len(self._entries)} of {self.n_total} series"
             )
-        if block is None:
-            block = self._block is not None
-        if block:
-            if self._block is None:
-                raise ValidationError("this gather has no block layout")
-            return self._block.take([self._rows[int(i)] for i in idx])
-        return StreamDataset(self._entries[int(i)] for i in idx)
+        return self._block.take([self._rows[int(i)] for i in idx])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ParentGather(n_total={self.n_total}, gathered={len(self)}, "
-            f"layout={'block' if self.block_layout else 'series'})"
-        )
+        return f"ParentGather(n_total={self.n_total}, gathered={len(self)})"
 
 
 def generate_test_pairs(
@@ -238,32 +184,22 @@ def generate_test_pairs(
     property that makes sweeps over R reproducible. The paper notes "any
     value of R more than 30 is sufficient" and uses R = 50.
 
-    Uniform-length populations are converted to parent blocks once, and every
-    replication is then an index gather (``SampleBlock.take``) into them; the
-    index streams come from :func:`replication_index_streams` — shared with
-    the streaming slab engine — and are the very same ``rng.integers`` draws
-    the per-series path consumes, so the sampled values are identical in
-    either layout.
+    Both populations are converted to parent blocks once (NaN-padded when
+    ragged), and every replication is then an index gather
+    (``SampleBlock.take``) into them; the index streams come from
+    :func:`replication_index_streams`, shared with the streaming slab
+    engine, so both select the same series.
     """
     n_pairs = check_positive_int(n_pairs, "n_pairs")
     sample_size = check_positive_int(sample_size, "sample_size")
-    dirty_block = ideal_block = None
-    if block_fast_path_enabled():
-        dirty_block = dirty.try_to_block()
-        ideal_block = ideal.try_to_block()
+    dirty_block = dirty.to_block()
+    ideal_block = ideal.to_block()
     draws = replication_index_streams(
         len(dirty), len(ideal), n_pairs, sample_size, seed=seed
     )
     for i, (d_idx, i_idx) in enumerate(draws):
-        if dirty_block is not None and ideal_block is not None:
-            yield TestPair(
-                index=i,
-                dirty_block=dirty_block.take(d_idx),
-                ideal_block=ideal_block.take(i_idx),
-            )
-        else:
-            yield TestPair(
-                index=i,
-                dirty=dirty.subset(d_idx.tolist()),
-                ideal=ideal.subset(i_idx.tolist()),
-            )
+        yield TestPair(
+            index=i,
+            dirty_block=dirty_block.take(d_idx),
+            ideal_block=ideal_block.take(i_idx),
+        )

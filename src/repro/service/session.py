@@ -360,12 +360,11 @@ class MonitoringSession:
             | {ideal_idx[int(i)] for _, i_idx in draws for i in i_idx}
         )
         entries = {idx: series[idx] for idx in needed}
-        lengths = np.array([s.length for s in series], dtype=np.int64)
-        dirty_gather, ideal_gather, use_block = build_parent_gathers(
-            dirty_idx, ideal_idx, entries, lengths
+        dirty_gather, ideal_gather = build_parent_gathers(
+            dirty_idx, ideal_idx, entries
         )
         return run_pair_stream(
-            iter_test_pairs(draws, dirty_gather, ideal_gather, use_block),
+            iter_test_pairs(draws, dirty_gather, ideal_gather),
             strategies,
             config=cfg,
             distance=distance,

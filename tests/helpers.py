@@ -15,7 +15,7 @@ from repro.data.dataset import StreamDataset
 from repro.data.stream import TimeSeries
 from repro.data.topology import NodeId
 
-__all__ = ["make_series", "make_dataset"]
+__all__ = ["make_series", "make_dataset", "apply_treatment"]
 
 
 def make_series(values, node=NodeId(0, 0, 0), truth=None) -> TimeSeries:
@@ -28,3 +28,8 @@ def make_dataset(*value_blocks) -> StreamDataset:
     return StreamDataset(
         make_series(block, NodeId(0, 0, k)) for k, block in enumerate(value_blocks)
     )
+
+
+def apply_treatment(treatment, dataset: StreamDataset, context) -> StreamDataset:
+    """Run a block-level treatment on a data set, handed back as series."""
+    return StreamDataset.from_block(treatment.apply_block(dataset.to_block(), context))

@@ -1,18 +1,24 @@
-"""The columnar fast path's bitwise-identity contract.
+"""The block layout against the golden fingerprints.
 
-Every block-level operation must reproduce its per-series counterpart
-exactly — same bits, not approximately. These tests pin that contract for
-the detector suite, each registry strategy (plus the extension strategies
-and wrappers), and the full experiment loop across execution backends with
-the fast path on and off.
+Every strategy, the detector suite and the full experiment loop run on
+:class:`~repro.data.block.SampleBlock` tensors only. These tests call the
+block entry points directly — ``clean_block``, ``annotate_block``,
+``series_glitch_scores_block`` — on one uniform and one NaN-padded ragged
+pair, and compare every treated value, glitch bit and score with the
+fingerprints ``tests/test_sample_golden.py`` recorded from the per-series
+reference path. The full run must also stay bitwise-identical across
+execution backends.
 """
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from repro.cleaning.base import CleaningContext, IdentityStrategy
 from repro.cleaning.partial import PartialCleaner
-from repro.cleaning.registry import paper_strategies, strategy_by_name
+from repro.cleaning.registry import strategy_by_name
 from repro.cleaning.remeasure import RemeasureStrategy
 from repro.core.distortion import statistical_distortion_batch
 from repro.core.executor import ProcessBackend, SerialBackend, ThreadBackend
@@ -23,93 +29,90 @@ from repro.core.glitch_index import (
     series_glitch_scores_block,
 )
 from repro.data.dataset import StreamDataset
+from repro.experiments.config import build_population
 from repro.glitches.detectors import DetectorSuite, ScaleTransform
 from repro.sampling.replication import generate_test_pairs
+
+from test_sample_golden import (
+    GOLDEN_ANNOTATION,
+    GOLDEN_RUN,
+    GOLDEN_TREATED,
+    RAGGED,
+    glitches_fingerprint,
+    golden_pair,
+    outcome_keys,
+    run_strategies,
+    values_fingerprint,
+)
 
 REGISTRY_NAMES = [f"strategy{i}" for i in range(1, 6)]
 
 
 @pytest.fixture(scope="module")
 def block_pair(tiny_bundle):
-    """One replication pair carrying both layouts."""
-    pair = next(
-        generate_test_pairs(tiny_bundle.dirty, tiny_bundle.ideal, 1, 14, seed=11)
-    )
-    assert pair.dirty_block is not None  # uniform-length population
-    return pair
+    """The uniform golden pair (B = 14, seed 11)."""
+    return golden_pair(tiny_bundle)
+
+
+@pytest.fixture(scope="module")
+def block_pairs(block_pair):
+    """The uniform and the ragged golden pair, by population name."""
+    ragged = build_population(scale="tiny", seed=0, generator_config=RAGGED)
+    return {"uniform": block_pair, "ragged": golden_pair(ragged)}
 
 
 def _context(pair, log=True, seed=123):
     return CleaningContext(
-        ideal=pair.ideal,
+        ideal=pair.ideal_block,
         transform=ScaleTransform.log_attr1() if log else None,
         seed=seed,
-        ideal_block=pair.ideal_block,
     )
 
 
-def _assert_layouts_identical(dataset, block):
-    assert len(dataset) == block.n_series
-    for i, series in enumerate(dataset):
-        np.testing.assert_array_equal(series.values, block.values[i])
+def _assert_matches_golden(pairs, factory, name, log=True):
+    """``factory().clean_block`` on each pair's dirty block hits its golden."""
+    scale = "log" if log else "raw"
+    for population, pair in pairs.items():
+        treated = factory().clean_block(pair.dirty_block, _context(pair, log=log))
+        assert treated.values.shape == pair.dirty_block.values.shape
+        fingerprint = values_fingerprint(StreamDataset.from_block(treated))
+        assert fingerprint == GOLDEN_TREATED[f"{population}-{scale}-{name}"], population
 
 
 class TestStrategyEquivalence:
-    """clean() and clean_block() are bitwise-identical under fixed seeds."""
+    """clean_block() reproduces the per-series goldens under fixed seeds."""
 
     @pytest.mark.parametrize("name", REGISTRY_NAMES)
     @pytest.mark.parametrize("log", [True, False])
-    def test_registry_strategy(self, block_pair, name, log):
-        strategy = strategy_by_name(name)
-        treated_series = strategy.clean(
-            block_pair.dirty, _context(block_pair, log=log)
+    def test_registry_strategy(self, block_pairs, name, log):
+        _assert_matches_golden(
+            block_pairs, lambda: strategy_by_name(name), name, log=log
         )
-        treated_block = strategy.clean_block(
-            block_pair.dirty_block, _context(block_pair, log=log)
-        )
-        assert treated_block is not None
-        _assert_layouts_identical(treated_series, treated_block)
 
     @pytest.mark.parametrize(
         "name", ["interpolate", "interpolate+winsorize", "regression"]
     )
-    def test_extension_strategies(self, block_pair, name):
-        strategy = strategy_by_name(name)
-        treated_series = strategy.clean(block_pair.dirty, _context(block_pair))
-        treated_block = strategy.clean_block(
-            block_pair.dirty_block, _context(block_pair)
-        )
-        assert treated_block is not None
-        _assert_layouts_identical(treated_series, treated_block)
+    def test_extension_strategies(self, block_pairs, name):
+        _assert_matches_golden(block_pairs, lambda: strategy_by_name(name), name)
 
-    def test_identity_strategy(self, block_pair):
-        strategy = IdentityStrategy()
-        treated_block = strategy.clean_block(
-            block_pair.dirty_block, _context(block_pair)
-        )
-        _assert_layouts_identical(
-            strategy.clean(block_pair.dirty, _context(block_pair)), treated_block
-        )
+    def test_identity_strategy(self, block_pairs):
+        _assert_matches_golden(block_pairs, IdentityStrategy, "identity")
 
     @pytest.mark.parametrize("coverage", [1.0, 0.4])
-    def test_remeasure(self, block_pair, coverage):
-        strategy = RemeasureStrategy(coverage=coverage, include_outliers=True)
-        treated_series = strategy.clean(block_pair.dirty, _context(block_pair))
-        treated_block = strategy.clean_block(
-            block_pair.dirty_block, _context(block_pair)
+    def test_remeasure(self, block_pairs, coverage):
+        _assert_matches_golden(
+            block_pairs,
+            lambda: RemeasureStrategy(coverage=coverage, include_outliers=True),
+            f"remeasure@{coverage}",
         )
-        _assert_layouts_identical(treated_series, treated_block)
 
     @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
-    def test_partial_cleaner(self, block_pair, fraction):
-        strategy = PartialCleaner(strategy_by_name("strategy4"), fraction=fraction)
-        treated_series = strategy.clean(block_pair.dirty, _context(block_pair))
-        treated_block = strategy.clean_block(
-            block_pair.dirty_block, _context(block_pair)
-        )
-        assert treated_block is not None
-        _assert_layouts_identical(treated_series, treated_block)
-        assert strategy.cost_fraction == fraction
+    def test_partial_cleaner(self, block_pairs, fraction):
+        def factory():
+            return PartialCleaner(strategy_by_name("strategy4"), fraction=fraction)
+
+        _assert_matches_golden(block_pairs, factory, f"partial@{fraction}")
+        assert factory().cost_fraction == fraction
 
 
 class TestLegacyConstraintCompat:
@@ -139,27 +142,32 @@ class TestLegacyConstraintCompat:
 
 
 class TestAnnotationEquivalence:
-    def test_annotate_block_matches_annotate_dataset(self, block_pair):
-        suite = DetectorSuite.from_ideal(
-            block_pair.ideal, transform=ScaleTransform.log_attr1()
-        )
-        per_series = suite.annotate_dataset(block_pair.dirty)
-        block = suite.annotate_block(block_pair.dirty_block)
-        assert len(per_series) == block.n_series
-        for i, matrix in enumerate(per_series):
-            np.testing.assert_array_equal(matrix.bits, block.bits[i])
-        assert per_series.record_fractions() == block.record_fractions()
+    def test_annotate_block_matches_annotate_dataset(self, block_pairs):
+        for population, pair in block_pairs.items():
+            suite = DetectorSuite.from_ideal(
+                pair.ideal, transform=ScaleTransform.log_attr1()
+            )
+            block = suite.annotate_block(pair.dirty_block)
+            assert (
+                glitches_fingerprint(block.to_dataset_glitches())
+                == GOLDEN_ANNOTATION[f"{population}-log"]
+            ), population
+            per_series = suite.annotate_dataset(pair.dirty)
+            assert per_series.record_fractions() == block.record_fractions()
 
-    def test_block_scores_match_series_scores(self, block_pair):
-        suite = DetectorSuite.from_ideal(block_pair.ideal)
+    def test_block_scores_match_series_scores(self, block_pairs):
         weights = GlitchWeights()
-        expected = series_glitch_scores(
-            suite.annotate_dataset(block_pair.dirty), weights
-        )
-        got = series_glitch_scores_block(
-            suite.annotate_block(block_pair.dirty_block), weights
-        )
-        np.testing.assert_array_equal(expected, got)
+        for population, pair in block_pairs.items():
+            suite = DetectorSuite.from_ideal(pair.ideal)
+            glitches = suite.annotate_block(pair.dirty_block)
+            assert (
+                glitches_fingerprint(glitches.to_dataset_glitches(), weights)
+                == GOLDEN_ANNOTATION[f"{population}-raw"]
+            ), population
+            np.testing.assert_array_equal(
+                series_glitch_scores_block(glitches, weights),
+                series_glitch_scores(suite.annotate_dataset(pair.dirty), weights),
+            )
 
 
 class TestDistortionEquivalence:
@@ -181,62 +189,33 @@ class TestDistortionEquivalence:
 
 
 class TestFullRunEquivalence:
-    """Outcome lists are bitwise-identical: block on/off x all backends."""
+    """Outcome lists hit the golden and are bitwise-identical on all backends."""
 
-    @staticmethod
-    def _keys(result):
-        return [
-            (
-                o.strategy,
-                o.replication,
-                o.improvement,
-                o.distortion,
-                o.glitch_index_dirty,
-                o.glitch_index_treated,
-                o.cost_fraction,
-                tuple(sorted((g.name, v) for g, v in o.dirty_fractions.items())),
-                tuple(sorted((g.name, v) for g, v in o.treated_fractions.items())),
-            )
-            for o in result.outcomes
-        ]
-
-    def test_block_vs_loop_across_backends(self, tiny_bundle, monkeypatch):
-        cfg = ExperimentConfig(n_replications=2, sample_size=10, seed=3)
+    def test_block_vs_loop_across_backends(self, tiny_bundle):
+        cfg = ExperimentConfig(n_replications=2, sample_size=10, seed=3, distance="emd")
         backends = {
             "serial": SerialBackend,
             "thread": lambda: ThreadBackend(2),
             "process": lambda: ProcessBackend(2, min_units=1),
         }
-        monkeypatch.setenv("REPRO_BLOCK", "0")
-        reference = ExperimentRunner(
-            tiny_bundle.dirty, tiny_bundle.ideal, config=cfg
-        ).run(paper_strategies())
-        reference_keys = self._keys(reference)
-        for use_block in ("0", "1"):
-            monkeypatch.setenv("REPRO_BLOCK", use_block)
-            for name, factory in backends.items():
-                result = ExperimentRunner(
-                    tiny_bundle.dirty,
-                    tiny_bundle.ideal,
-                    config=cfg,
-                    backend=factory(),
-                ).run(paper_strategies())
-                assert self._keys(result) == reference_keys, (
-                    f"outcomes diverged: REPRO_BLOCK={use_block}, backend={name}"
-                )
+        reference_keys = None
+        for name, factory in backends.items():
+            result = ExperimentRunner(
+                tiny_bundle.dirty,
+                tiny_bundle.ideal,
+                config=cfg,
+                backend=factory(),
+            ).run(run_strategies())
+            keys = outcome_keys(result)
+            if reference_keys is None:
+                reference_keys = keys
+                digest = hashlib.sha256(json.dumps(keys).encode()).hexdigest()
+                assert digest == GOLDEN_RUN["uniform-emd"]
+            assert keys == reference_keys, f"outcomes diverged: backend={name}"
 
-    def test_fast_path_engages_by_default(self, tiny_bundle, monkeypatch):
-        monkeypatch.delenv("REPRO_BLOCK", raising=False)
+    def test_fast_path_engages_by_default(self, tiny_bundle):
         pair = next(
             generate_test_pairs(tiny_bundle.dirty, tiny_bundle.ideal, 1, 5, seed=0)
         )
         assert pair.dirty_block is not None
         assert pair.ideal_block is not None
-
-    def test_fallback_disables_block_sampling(self, tiny_bundle, monkeypatch):
-        monkeypatch.setenv("REPRO_BLOCK", "0")
-        pair = next(
-            generate_test_pairs(tiny_bundle.dirty, tiny_bundle.ideal, 1, 5, seed=0)
-        )
-        assert pair.dirty_block is None
-        assert len(pair.dirty) == 5

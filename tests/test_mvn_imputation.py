@@ -12,6 +12,8 @@ from repro.cleaning.mvn_imputation import (
 from repro.errors import CleaningError
 from repro.glitches.detectors import ScaleTransform
 
+from helpers import apply_treatment
+
 
 def mcar_sample(rng, n=3000, missing=0.2):
     mean = np.array([1.0, -2.0, 0.5])
@@ -103,18 +105,18 @@ class TestDrawConditional:
 
 class TestMvnImputationTreatment:
     def test_no_missing_after(self, tiny_pair, raw_context):
-        treated = MvnImputation().apply(tiny_pair.dirty, raw_context)
+        treated = apply_treatment(MvnImputation(), tiny_pair.dirty, raw_context)
         assert treated.missing_fraction == 0.0
 
     def test_untreatable_cells_unchanged(self, tiny_pair, raw_context):
-        treated = MvnImputation().apply(tiny_pair.dirty, raw_context)
+        treated = apply_treatment(MvnImputation(), tiny_pair.dirty, raw_context)
         for before, after in zip(tiny_pair.dirty, treated):
             mask = raw_context.treatable_mask(before)
             assert np.array_equal(before.values[~mask], after.values[~mask])
 
     def test_raw_scale_imputes_negative_attr1(self, tiny_pair, raw_context):
         """Figure 4a: Gaussian on the raw skewed scale imputes negatives."""
-        treated = MvnImputation().apply(tiny_pair.dirty, raw_context)
+        treated = apply_treatment(MvnImputation(), tiny_pair.dirty, raw_context)
         negatives = 0
         for before, after in zip(tiny_pair.dirty, treated):
             mask = raw_context.treatable_mask(before)[:, 0]
@@ -123,14 +125,14 @@ class TestMvnImputationTreatment:
 
     def test_log_scale_never_imputes_negative_attr1(self, tiny_pair, log_context):
         """Figure 4b: on the log scale the back-transform is positive."""
-        treated = MvnImputation().apply(tiny_pair.dirty, log_context)
+        treated = apply_treatment(MvnImputation(), tiny_pair.dirty, log_context)
         for before, after in zip(tiny_pair.dirty, treated):
             mask = log_context.treatable_mask(before)[:, 0]
             assert (after.values[mask, 0] > 0).all()
 
     def test_imputes_attr3_above_one(self, tiny_pair, raw_context):
         """Figure 5: the Gaussian plants impossible ratios above 1."""
-        treated = MvnImputation().apply(tiny_pair.dirty, raw_context)
+        treated = apply_treatment(MvnImputation(), tiny_pair.dirty, raw_context)
         above = 0
         for before, after in zip(tiny_pair.dirty, treated):
             mask = raw_context.treatable_mask(before)[:, 2]
@@ -138,10 +140,10 @@ class TestMvnImputationTreatment:
         assert above > 0
 
     def test_deterministic_given_context_seed(self, tiny_pair):
-        a = MvnImputation().apply(
+        a = apply_treatment(MvnImputation(), 
             tiny_pair.dirty, CleaningContext(ideal=tiny_pair.ideal, seed=3)
         )
-        b = MvnImputation().apply(
+        b = apply_treatment(MvnImputation(), 
             tiny_pair.dirty, CleaningContext(ideal=tiny_pair.ideal, seed=3)
         )
         for sa, sb in zip(a, b):

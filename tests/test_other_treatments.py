@@ -18,16 +18,16 @@ from repro.cleaning.remeasure import RemeasureStrategy
 from repro.errors import CleaningError
 from repro.glitches.detectors import ScaleTransform
 
-from helpers import make_series
+from helpers import apply_treatment, make_series
 
 
 class TestMeanImputation:
     def test_fills_everything(self, tiny_pair, raw_context):
-        treated = MeanImputation().apply(tiny_pair.dirty, raw_context)
+        treated = apply_treatment(MeanImputation(), tiny_pair.dirty, raw_context)
         assert treated.missing_fraction == 0.0
 
     def test_fills_with_raw_ideal_mean(self, tiny_pair, raw_context):
-        treated = MeanImputation().apply(tiny_pair.dirty, raw_context)
+        treated = apply_treatment(MeanImputation(), tiny_pair.dirty, raw_context)
         mean3 = raw_context.ideal_means["attr3"]
         for before, after in zip(tiny_pair.dirty, treated):
             mask = raw_context.treatable_mask(before)[:, 2]
@@ -35,7 +35,7 @@ class TestMeanImputation:
                 assert np.allclose(after.values[mask, 2], mean3)
 
     def test_log_config_uses_geometric_mean(self, tiny_pair, log_context):
-        treated = MeanImputation().apply(tiny_pair.dirty, log_context)
+        treated = apply_treatment(MeanImputation(), tiny_pair.dirty, log_context)
         expected = np.exp(log_context.analysis_means["attr1"])
         for before, after in zip(tiny_pair.dirty, treated):
             mask = log_context.treatable_mask(before)[:, 0]
@@ -45,7 +45,7 @@ class TestMeanImputation:
 
     def test_never_creates_inconsistencies(self, tiny_pair, raw_context):
         """Table 1: Strategies 4/5 have exactly zero treated inconsistent."""
-        treated = MeanImputation().apply(tiny_pair.dirty, raw_context)
+        treated = apply_treatment(MeanImputation(), tiny_pair.dirty, raw_context)
         for series in treated:
             assert not raw_context.constraints.evaluate(series).any()
 
@@ -68,14 +68,14 @@ class TestInterpolation:
         assert np.isnan(out).all()
 
     def test_treatment_fills_everything(self, tiny_pair, raw_context):
-        treated = InterpolationImputation().apply(tiny_pair.dirty, raw_context)
+        treated = apply_treatment(InterpolationImputation(), tiny_pair.dirty, raw_context)
         assert treated.missing_fraction == 0.0
 
     def test_interpolated_attr3_stays_in_range(self, tiny_pair, raw_context):
         """Convex combinations of in-range endpoints cannot violate
         constraint 2 — interpolation never plants range violations on the
         ratio attribute (unlike the Gaussian imputer)."""
-        treated = InterpolationImputation().apply(tiny_pair.dirty, raw_context)
+        treated = apply_treatment(InterpolationImputation(), tiny_pair.dirty, raw_context)
         for before, after in zip(tiny_pair.dirty, treated):
             gaps = raw_context.treatable_mask(before)[:, 2]
             filled = after.values[gaps, 2]
@@ -84,13 +84,13 @@ class TestInterpolation:
 
 class TestRegressionImputation:
     def test_fills_everything(self, tiny_pair, raw_context):
-        treated = RegressionImputation().apply(tiny_pair.dirty, raw_context)
+        treated = apply_treatment(RegressionImputation(), tiny_pair.dirty, raw_context)
         assert treated.missing_fraction == 0.0
 
     def test_deterministic(self, tiny_pair):
         ctx = CleaningContext(ideal=tiny_pair.ideal, seed=0)
-        a = RegressionImputation().apply(tiny_pair.dirty, ctx)
-        b = RegressionImputation().apply(tiny_pair.dirty, ctx)
+        a = apply_treatment(RegressionImputation(), tiny_pair.dirty, ctx)
+        b = apply_treatment(RegressionImputation(), tiny_pair.dirty, ctx)
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.values, sb.values)
 

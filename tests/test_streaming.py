@@ -104,15 +104,6 @@ class TestStreamingIdentity:
         assert streamed.n_gathered <= min(bound, streamed.n_series)
         assert streamed.n_gathered < streamed.n_series  # genuinely partial
 
-    def test_per_series_layout_when_block_disabled(
-        self, block_reference, tiny_cfg, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_BLOCK", "0")
-        streamed = StreamingExperiment.from_scale(
-            "tiny", seed=0, config=tiny_cfg
-        ).run(STRATEGIES)
-        assert _keys(streamed.result) == _keys(block_reference)
-
 
 class TestRaggedStreaming:
     """Ragged populations had no bounded-memory path at all before."""

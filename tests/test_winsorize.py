@@ -7,6 +7,8 @@ from repro.cleaning.base import CleaningContext
 from repro.cleaning.winsorize import WinsorizeOutliers
 from repro.glitches.detectors import ScaleTransform
 
+from helpers import apply_treatment
+
 
 @pytest.fixture()
 def treatment():
@@ -15,7 +17,7 @@ def treatment():
 
 class TestRawScale:
     def test_clips_to_limits(self, tiny_pair, raw_context, treatment):
-        treated = treatment.apply(tiny_pair.dirty, raw_context)
+        treated = apply_treatment(treatment, tiny_pair.dirty, raw_context)
         for attr in tiny_pair.dirty.attributes:
             lo, hi = raw_context.limits.bounds(attr)
             col = treated.pooled_column(attr, dropna=True)
@@ -23,12 +25,12 @@ class TestRawScale:
             assert col.min() >= lo - 1e-9
 
     def test_missing_untouched(self, tiny_pair, raw_context, treatment):
-        treated = treatment.apply(tiny_pair.dirty, raw_context)
+        treated = apply_treatment(treatment, tiny_pair.dirty, raw_context)
         for before, after in zip(tiny_pair.dirty, treated):
             assert np.array_equal(np.isnan(before.values), np.isnan(after.values))
 
     def test_in_limit_values_untouched(self, tiny_pair, raw_context, treatment):
-        treated = treatment.apply(tiny_pair.dirty, raw_context)
+        treated = apply_treatment(treatment, tiny_pair.dirty, raw_context)
         for before, after in zip(tiny_pair.dirty, treated):
             for j, attr in enumerate(before.attributes):
                 lo, hi = raw_context.limits.bounds(attr)
@@ -41,7 +43,7 @@ class TestRawScale:
 
 class TestLogScale:
     def test_clips_on_analysis_scale(self, tiny_pair, log_context, treatment):
-        treated = treatment.apply(tiny_pair.dirty, log_context)
+        treated = apply_treatment(treatment, tiny_pair.dirty, log_context)
         lo, hi = log_context.limits.bounds("attr1")
         col = treated.pooled_column("attr1", dropna=True)
         logs = np.log(col[col > 0])
@@ -51,14 +53,14 @@ class TestLogScale:
     def test_negative_values_pass_through(self, tiny_pair, log_context, treatment):
         """Negative attr1 values are inconsistencies, not outliers: the log
         scale cannot even see them, so Winsorization leaves them alone."""
-        treated = treatment.apply(tiny_pair.dirty, log_context)
+        treated = apply_treatment(treatment, tiny_pair.dirty, log_context)
         for before, after in zip(tiny_pair.dirty, treated):
             neg = np.nan_to_num(before.values[:, 0]) < 0
             assert np.array_equal(before.values[neg, 0], after.values[neg, 0])
 
     def test_repaired_values_back_on_raw_scale(self, tiny_pair, log_context, treatment):
         """Clipped cells hold exp(limit), not the log-scale limit itself."""
-        treated = treatment.apply(tiny_pair.dirty, log_context)
+        treated = apply_treatment(treatment, tiny_pair.dirty, log_context)
         lo, hi = log_context.limits.bounds("attr1")
         for before, after in zip(tiny_pair.dirty, treated):
             col_b = before.values[:, 0]
@@ -82,7 +84,7 @@ class TestTailFlip:
         treatment = WinsorizeOutliers()
 
         def tail_counts(context):
-            treated = treatment.apply(pair.dirty, context)
+            treated = apply_treatment(treatment, pair.dirty, context)
             up = down = 0
             for b, a in zip(pair.dirty, treated):
                 col_b, col_a = b.values[:, 0], a.values[:, 0]
