@@ -142,7 +142,11 @@ def cleanliness_fractions(
 def outlier_record_fraction(series: TimeSeries, suite: DetectorSuite) -> float:
     """Record-level outlier fraction of one series under a fitted suite."""
     transform = suite.transform
-    scaled = transform.apply(series) if transform else series
+    scaled = (
+        series.transformed(transform.attribute, transform.forward)
+        if transform
+        else series
+    )
     return _record_fraction(suite.outlier_detector.detect(scaled))
 
 
@@ -407,7 +411,11 @@ class CleanlinessFold:
         )
         if self.suite is not None and self.suite.outlier_detector is not None:
             transform = self.suite.transform
-            scaled = transform.apply(window) if transform else window
+            scaled = (
+                window.transformed(transform.attribute, transform.forward)
+                if transform
+                else window
+            )
             self._out[stream_id] = self._out.get(stream_id, 0) + int(
                 self.suite.outlier_detector.detect(scaled).any(axis=1).sum()
             )

@@ -79,10 +79,6 @@ class ScaleTransform:
         """The paper's log transform of Attribute 1 (inverse: exp)."""
         return cls(attribute="attr1", forward=np.log, name="log(attr1)", inverse=np.exp)
 
-    def apply(self, series: TimeSeries) -> TimeSeries:
-        """Transform one series (returns a new series)."""
-        return series.transformed(self.attribute, self.forward)
-
     def apply_dataset(self, dataset: StreamDataset) -> StreamDataset:
         """Transform every series of a data set."""
         return dataset.transformed(self.attribute, self.forward)
