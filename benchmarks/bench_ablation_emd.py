@@ -35,16 +35,18 @@ def _treated_pairs(bundle, config):
         )
     )
     tr = config.transform
-    ctx_kwargs = dict(ideal=pair.ideal, transform=tr, sigma_k=config.sigma_k)
+    ctx_kwargs = dict(ideal=pair.ideal_block, transform=tr, sigma_k=config.sigma_k)
 
-    def pool(ds):
-        return (tr.apply_dataset(ds) if tr else ds).pooled(dropna="any")
+    def pool(block):
+        if tr:
+            block = block.with_values(tr.forward_values(block.values, block.attributes))
+        return block.pooled(dropna="any")
 
-    p = pool(pair.dirty)
+    p = pool(pair.dirty_block)
     treated = {}
     for strategy in paper_strategies():
         ctx = CleaningContext(seed=1, **ctx_kwargs)
-        treated[strategy.name] = pool(strategy.clean(pair.dirty, ctx))
+        treated[strategy.name] = pool(strategy.clean_block(pair.dirty_block, ctx))
     return p, treated
 
 

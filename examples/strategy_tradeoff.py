@@ -14,7 +14,7 @@ from repro import (
     CleaningStrategy,
     CompositeStrategy,
     InterpolationImputation,
-    StreamDataset,
+    SampleBlock,
     WinsorizeOutliers,
     build_population,
     experiment_config,
@@ -32,15 +32,15 @@ class ClampRatioStrategy(CleaningStrategy):
 
     name = "clamp-ratio"
 
-    def clean(self, sample: StreamDataset, context: CleaningContext) -> StreamDataset:
-        def treat(series):
-            values = series.values.copy()
-            j = series.attribute_index("attr3")
-            with np.errstate(invalid="ignore"):
-                values[:, j] = np.clip(values[:, j], 0.0, 1.0)
-            return series.with_values(values)
-
-        return sample.map(treat)
+    def clean_block(self, block: SampleBlock, context: CleaningContext) -> SampleBlock:
+        # A strategy works on the whole sample as one (n_series, T, v) block.
+        # Ragged samples are NaN-padded past each series' length; clipping
+        # keeps NaN, so the padding stays padding.
+        values = block.values.copy()
+        j = block.attributes.index("attr3")
+        with np.errstate(invalid="ignore"):
+            values[..., j] = np.clip(values[..., j], 0.0, 1.0)
+        return block.with_values(values)
 
 
 def main() -> None:

@@ -201,7 +201,12 @@ class CleaningContext:
 
 
 class CleaningStrategy(ABC):
-    """A cleaning strategy ``C`` mapping ``Di`` to ``DiC`` (Definition 1)."""
+    """A cleaning strategy ``C`` mapping ``Di`` to ``DiC`` (Definition 1).
+
+    Subclasses implement :meth:`clean_block`, which treats the whole sample
+    as one :class:`~repro.data.block.SampleBlock`; :meth:`clean` is derived
+    from it.
+    """
 
     #: Identifier used in results and reports.
     name: str = "strategy"

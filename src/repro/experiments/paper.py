@@ -269,29 +269,31 @@ def collect_treatment_scatter(
     )
     for pair, rng in zip(pairs, seeds):
         context = CleaningContext(
-            ideal=pair.ideal,
+            ideal=pair.ideal_block,
             transform=transform,
             sigma_k=config.sigma_k,
             seed=rng,
         )
-        treated = strategy.clean(pair.dirty, context)
-        for before_s, after_s in zip(pair.dirty, treated):
-            j = before_s.attribute_index(attribute)
-            mask = context.treatable_mask(before_s)[:, j]
-            before = context.to_analysis(before_s.values, before_s.attributes)[:, j]
-            after = context.to_analysis(after_s.values, after_s.attributes)[:, j]
-            with np.errstate(invalid="ignore"):
-                changed = (
-                    ~mask
-                    & ~(np.isnan(before) & np.isnan(after))
-                    & (np.nan_to_num(before) != np.nan_to_num(after))
-                )
-            same = ~mask & ~changed & ~np.isnan(before)
-            imputed_b.append(before[mask])
-            imputed_a.append(after[mask])
-            repaired_b.append(before[changed])
-            repaired_a.append(after[changed])
-            untouched.append(before[same])
+        dirty = pair.dirty_block
+        treated = strategy.clean_block(dirty, context)
+        j = dirty.attributes.index(attribute)
+        # (n, T) cells in series-major, time-minor order; padding is NaN on
+        # both sides and never treatable, so it lands in no bucket.
+        mask = context.treatable_mask_block(dirty)[..., j]
+        before = context.to_analysis(dirty.values, dirty.attributes)[..., j]
+        after = context.to_analysis(treated.values, treated.attributes)[..., j]
+        with np.errstate(invalid="ignore"):
+            changed = (
+                ~mask
+                & ~(np.isnan(before) & np.isnan(after))
+                & (np.nan_to_num(before) != np.nan_to_num(after))
+            )
+        same = ~mask & ~changed & ~np.isnan(before)
+        imputed_b.append(before[mask])
+        imputed_a.append(after[mask])
+        repaired_b.append(before[changed])
+        repaired_a.append(after[changed])
+        untouched.append(before[same])
     return ScatterData(
         attribute=attribute,
         strategy=strategy.name,

@@ -137,15 +137,8 @@ class ParentGather:
         self._rows = {idx: row for row, idx in enumerate(order)}
         self._block: Optional[SampleBlock] = None
         if order:
-            stacked = StreamDataset(self._entries[i] for i in order).to_block()
-            self._block = SampleBlock(
-                values=stacked.values,
-                attributes=stacked.attributes,
-                nodes=stacked.nodes,
-                truth=stacked.truth,
-                indices=np.array(order, dtype=np.intp),
-                lengths=stacked.lengths,
-            )
+            self._block = StreamDataset(self._entries[i] for i in order).to_block()
+            self._block.indices = np.array(order, dtype=np.intp)
 
     def __len__(self) -> int:
         return len(self._entries)

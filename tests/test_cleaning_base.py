@@ -5,6 +5,7 @@ import pytest
 
 from repro.cleaning.base import (
     CleaningContext,
+    CleaningStrategy,
     CompositeStrategy,
     IdentityStrategy,
     MissingInconsistentTreatment,
@@ -111,3 +112,27 @@ class TestIdentity:
         assert out is not tiny_pair.dirty
         for a, b in zip(out, tiny_pair.dirty):
             assert np.array_equal(a.values, b.values, equal_nan=True)
+
+
+class TestCustomStrategy:
+    class Clamp(CleaningStrategy):
+        """A user strategy written the documented way: only ``clean_block``."""
+
+        name = "clamp"
+
+        def clean_block(self, block, context):
+            values = block.values.copy()
+            j = block.attributes.index("attr3")
+            with np.errstate(invalid="ignore"):
+                values[..., j] = np.clip(values[..., j], 0.0, 1.0)
+            return block.with_values(values)
+
+    def test_clean_is_derived_from_clean_block(self, tiny_pair, raw_context):
+        out = self.Clamp().clean(tiny_pair.dirty, raw_context)
+        assert len(out) == len(tiny_pair.dirty)
+        for before, after in zip(tiny_pair.dirty, out):
+            expected = before.values.copy()
+            j = before.attribute_index("attr3")
+            with np.errstate(invalid="ignore"):
+                expected[:, j] = np.clip(expected[:, j], 0.0, 1.0)
+            assert np.array_equal(after.values, expected, equal_nan=True)

@@ -140,12 +140,8 @@ class TestMvnImputationTreatment:
         assert above > 0
 
     def test_deterministic_given_context_seed(self, tiny_pair):
-        a = apply_treatment(MvnImputation(), 
-            tiny_pair.dirty, CleaningContext(ideal=tiny_pair.ideal, seed=3)
-        )
-        b = apply_treatment(MvnImputation(), 
-            tiny_pair.dirty, CleaningContext(ideal=tiny_pair.ideal, seed=3)
-        )
+        a = apply_treatment(MvnImputation(), tiny_pair.dirty, CleaningContext(ideal=tiny_pair.ideal, seed=3))
+        b = apply_treatment(MvnImputation(), tiny_pair.dirty, CleaningContext(ideal=tiny_pair.ideal, seed=3))
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.values, sb.values)
 
