@@ -134,10 +134,10 @@ def outcome_keys(result) -> list:
     ]
 
 
-def run_fingerprint(bundle, distance: str) -> str:
+def run_fingerprint(bundle, distance: str, seed=3) -> str:
     """sha256 of an ``ExperimentRunner`` run's outcome keys (R = 2, B = 10)."""
     config = ExperimentConfig(
-        n_replications=2, sample_size=10, seed=3, distance=distance
+        n_replications=2, sample_size=10, seed=seed, distance=distance
     )
     result = ExperimentRunner(bundle.dirty, bundle.ideal, config=config).run(
         run_strategies()
@@ -352,6 +352,13 @@ GOLDEN_RUN: dict[str, str] = {
     ),
 }
 
+#: A run whose config seed is a ``SeedSequence``: the evaluator spawns the
+#: per-replication strategy streams from the sequence itself before the
+#: pair draws spawn theirs, so this pins that consumption order.
+GOLDEN_SEEDSEQUENCE_RUN = (
+    "68d85bfd948f8859671701c4feee58127616fb4b0c23b2db02e76d81c3dbe3c2"
+)
+
 
 @pytest.fixture(scope="session")
 def ragged_bundle():
@@ -388,3 +395,8 @@ def test_run_outcomes_match_golden(request, case):
         "tiny_bundle" if population == "uniform" else "ragged_bundle"
     )
     assert run_fingerprint(bundle, distance) == GOLDEN_RUN[case]
+
+
+def test_seedsequence_run_matches_golden(tiny_bundle):
+    fingerprint = run_fingerprint(tiny_bundle, "emd", seed=np.random.SeedSequence(5))
+    assert fingerprint == GOLDEN_SEEDSEQUENCE_RUN
