@@ -73,7 +73,6 @@ from repro.core import (
     statistical_distortion,
     statistical_distortion_batch,
     statistical_distortion_stream,
-    streaming_enabled,
     summarize_outcomes,
     tradeoff_points,
     viable_strategies,

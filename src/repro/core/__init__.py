@@ -50,7 +50,6 @@ from repro.core.streaming import (
     StreamingExperiment,
     StreamingResult,
     run_streaming_experiment,
-    streaming_enabled,
 )
 from repro.core.tradeoff import (
     TradeoffPoint,
@@ -78,7 +77,6 @@ __all__ = [
     "StreamingExperiment",
     "StreamingResult",
     "run_streaming_experiment",
-    "streaming_enabled",
     "ExecutionBackend",
     "SerialBackend",
     "ThreadBackend",

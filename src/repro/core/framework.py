@@ -79,10 +79,9 @@ class ExperimentConfig:
     backends (default: all available CPUs).
 
     ``streaming`` selects the out-of-core slab engine
-    (:mod:`repro.core.streaming`) for drivers that support both paths:
-    ``True``/``False`` pin it, ``None`` defers to the ``REPRO_STREAM``
-    environment variable and falls back to the in-memory path. Like the
-    backend, streaming is a pure execution choice — the streamed experiment
+    (:mod:`repro.core.streaming`) in :func:`~repro.experiments.paper.run_experiment`
+    and the sweep planner; the default is the in-memory path. Like the
+    backend, streaming is a pure memory choice — the streamed experiment
     is bitwise-identical to the materialised one.
 
     ``distance`` names the distortion distance by its registered identifier
@@ -102,7 +101,7 @@ class ExperimentConfig:
     seed: Seed = 0
     backend: Optional[str] = None
     n_workers: Optional[int] = None
-    streaming: Optional[bool] = None
+    streaming: bool = False
     distance: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -114,10 +113,8 @@ class ExperimentConfig:
             parse_backend_spec(self.backend)
         if self.n_workers is not None:
             check_positive_int(self.n_workers, "n_workers")
-        if self.streaming is not None and not isinstance(self.streaming, bool):
-            raise ExperimentError(
-                f"streaming must be None or a bool, got {self.streaming!r}"
-            )
+        if not isinstance(self.streaming, bool):
+            raise ExperimentError(f"streaming must be a bool, got {self.streaming!r}")
         if self.distance is not None:
             from repro.distance import parse_distance_spec
 
@@ -349,9 +346,7 @@ def evaluate_pair_outcomes(
 ) -> list[StrategyOutcome]:
     """Evaluate every strategy on one replication pair.
 
-    Module-level (and free of runner state) so a ``functools.partial`` of it
-    pickles cleanly into process-pool workers. Strategies are cleaned first
-    in list order — preserving the per-replication random stream layout of
+    Strategies are cleaned first in list order — preserving the per-replication random stream layout of
     the serial loop — then all treated samples are scored against the dirty
     sample in one batched distortion call, which bins the dirty side once on
     a grid shared by the whole strategy panel.
@@ -373,36 +368,6 @@ def evaluate_pair_outcomes(
     )[0]
 
 
-@dataclass(frozen=True)
-class _RunSpec:
-    """Everything a worker needs to evaluate one replication pair.
-
-    Shipped (pickled) to process-pool workers once per chunk; deliberately
-    excludes the populations — workers receive already-sampled pairs.
-    """
-
-    config: ExperimentConfig
-    strategies: tuple[CleaningStrategy, ...]
-    distance: Distance
-    weights: GlitchWeights
-    constraints: ConstraintSet
-
-
-def _evaluate_work_unit(spec: _RunSpec, unit: tuple) -> list[StrategyOutcome]:
-    """Evaluate one ``(pair, seed)`` work unit under a run spec."""
-    inject_fault("unit")
-    pair, seed = unit
-    return evaluate_pair_outcomes(
-        pair,
-        spec.strategies,
-        config=spec.config,
-        distance=spec.distance,
-        weights=spec.weights,
-        constraints=spec.constraints,
-        seed=seed,
-    )
-
-
 def run_pair_stream(
     pairs,
     strategies: Sequence[CleaningStrategy],
@@ -414,46 +379,23 @@ def run_pair_stream(
 ) -> ExperimentResult:
     """Evaluate all strategies over an already-drawn stream of test pairs.
 
-    The evaluation half of :meth:`ExperimentRunner.run`, factored out so
-    pair *producers* are pluggable: the runner feeds it pairs sampled from
-    materialised populations, the streaming slab engine feeds it pairs
-    gathered from a bounded parent subset — the per-replication strategy
-    seed streams, work-unit layout and backend fan-out are shared, which is
-    what keeps the two paths' outcomes bitwise-identical.
-
-    *pairs* must yield ``config.n_replications`` pairs in replication order;
-    the serial backend consumes the stream lazily (one pair in memory at a
-    time), parallel backends materialise it to dispatch.
+    The single-panel case of :func:`run_pair_panels_stream`. Pair
+    *producers* are pluggable: the runner feeds it pairs sampled from
+    materialised populations, the streaming slab engine and the push
+    service feed it pairs gathered from a bounded parent subset. The
+    per-replication strategy seed streams, work-unit layout and backend
+    fan-out are shared, which is what keeps every path's outcomes
+    bitwise-identical.
     """
-    if not strategies:
-        raise ExperimentError("need at least one strategy")
-    names = [s.name for s in strategies]
-    if len(set(names)) != len(names):
-        raise ExperimentError(f"duplicate strategy names: {names}")
-    # Independent per-replication streams for the stochastic treatments.
-    strategy_seeds = spawn_generators(
-        config.seed if not isinstance(config.seed, int) else config.seed + 1,
-        config.n_replications,
-    )
-    spec = _RunSpec(
-        config=config,
-        strategies=tuple(strategies),
-        distance=distance or config.make_distance(),
-        weights=weights or GlitchWeights(),
-        constraints=constraints if constraints is not None else paper_constraints(),
-    )
-    resolved = resolve_backend(
-        backend if backend is not None else config.backend,
-        n_workers=config.n_workers,
-    )
-    batches = resolved.map(
-        partial(_evaluate_work_unit, spec), zip(pairs, strategy_seeds)
-    )
-    result = ExperimentResult(config=config)
-    result.degradations.extend(drain_degradations())
-    for batch in batches:
-        result.outcomes.extend(batch)
-    return result
+    return run_pair_panels_stream(
+        pairs,
+        [strategies],
+        config,
+        distances=[distance],
+        weights=weights,
+        constraints=constraints,
+        backend=backend,
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -494,25 +436,28 @@ def run_pair_panels_stream(
 ) -> list[ExperimentResult]:
     """Evaluate many strategy panels over one shared stream of test pairs.
 
-    The group-level driver of the incremental sweep planner
-    (:mod:`repro.experiments.sweep`): sweep cells that share a population
-    and an outcome-determining config — differing only in their strategy
-    panel — are evaluated in **one** pass over the replication pairs, with
-    the per-pair dirty reference frame hoisted by
-    :func:`evaluate_pair_panels`. Every panel gets its own pre-spawned
-    per-replication random streams, derived exactly as a standalone
-    :func:`run_pair_stream` of that panel would derive them, which is what
-    keeps each panel's outcomes bitwise-identical to its from-scratch run.
+    The one pairs → outcomes evaluator. Every driver feeds it: the runner
+    and :func:`run_pair_stream` with one panel, the incremental sweep
+    planner (:mod:`repro.experiments.sweep`) with one panel per cell of a
+    frame group — cells that share a population and an outcome-determining
+    config, differing only in their strategy panel — evaluated in **one**
+    pass over the replication pairs, with the per-pair dirty reference
+    frame hoisted by :func:`evaluate_pair_panels`. Every panel gets its own
+    pre-spawned per-replication random streams, spawned from
+    ``config.seed + 1`` for int seeds (the seed itself otherwise), so each
+    panel's outcomes are bitwise-identical to its standalone run.
 
     *pairs* must yield ``config.n_replications`` pairs in replication
     order; they are shared by every panel (pairs are never mutated — every
-    strategy copies). Requires an int ``config.seed``: non-int seeds are
-    consumed order-dependently by the single-panel loop, so a multi-panel
-    pass could not replay the same streams. *result_configs* optionally
-    stamps each returned :class:`ExperimentResult` with its own cell
-    config (the cells of one group may differ in execution-only fields);
-    outcome evaluation always uses *config*. Returns one result per panel,
-    in panel order.
+    strategy copies). The serial backend consumes them lazily (one pair in
+    memory at a time), parallel backends materialise them to dispatch. A
+    non-int ``config.seed`` is accepted for a single panel only:
+    ``SeedSequence``/``Generator`` seeds advance as they spawn, so a second
+    panel could not replay the first one's streams. *result_configs*
+    optionally stamps each returned :class:`ExperimentResult` with its own
+    cell config (the cells of one group may differ in execution-only
+    fields); outcome evaluation always uses *config*. Returns one result
+    per panel, in panel order.
     """
     panels = tuple(tuple(panel) for panel in panels)
     if not panels:
@@ -523,21 +468,23 @@ def run_pair_panels_stream(
         names = [s.name for s in panel]
         if len(set(names)) != len(names):
             raise ExperimentError(f"duplicate strategy names: {names}")
-    if not isinstance(config.seed, int):
+    if len(panels) > 1 and not isinstance(config.seed, int):
         raise ExperimentError(
-            "run_pair_panels_stream requires an int config seed; "
-            "SeedSequence/Generator seeds are consumed order-dependently "
-            "by the single-panel replication loop"
+            "a multi-panel pass requires an int config seed; "
+            "SeedSequence/Generator seeds advance as they spawn, so only a "
+            "single panel can replay them"
         )
     if result_configs is not None and len(result_configs) != len(panels):
         raise ExperimentError(
             f"got {len(result_configs)} result configs for {len(panels)} panels"
         )
     # One independent per-replication stream family per panel — the exact
-    # spawn a standalone run of that panel performs.
+    # spawn a standalone run of that panel performs. Spawning happens before
+    # the backend pulls the first pair, which fixes the order in which a
+    # shared SeedSequence hands out its children.
+    panel_seed = config.seed + 1 if isinstance(config.seed, int) else config.seed
     seed_lists = [
-        spawn_generators(config.seed + 1, config.n_replications)
-        for _ in panels
+        spawn_generators(panel_seed, config.n_replications) for _ in panels
     ]
     spec = _PanelsSpec(
         config=config,

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress
-from typing import Callable, Dict, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -52,9 +52,16 @@ from repro.glitches.detectors import (
 )
 from repro.glitches.missing import detect_missing
 from repro.core.glitch_index import GlitchWeights
-from repro.sampling.replication import ParentGather, TestPair
+from repro.sampling.replication import (
+    ParentGather,
+    TestPair,
+    replication_index_streams,
+)
 from repro.stats.descriptive import sigma_limits
 from repro.stats.ecdf import EcdfSketch
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.framework import ExperimentConfig
 
 __all__ = [
     "StreamWindow",
@@ -73,7 +80,7 @@ __all__ = [
     "split_verdicts",
     "identify_fixed_point",
     "fit_sigma_limits",
-    "build_parent_gathers",
+    "gather_test_pairs",
     "iter_test_pairs",
 ]
 
@@ -244,16 +251,38 @@ def identify_fixed_point(
 # ---------------------------------------------------------------------------
 
 
-def build_parent_gathers(
+def gather_test_pairs(
     dirty_idx: Sequence[int],
     ideal_idx: Sequence[int],
-    entries: Dict[int, TimeSeries],
-) -> tuple[ParentGather, ParentGather]:
-    """Both sides' :class:`ParentGather` stand-ins.
+    config: "ExperimentConfig",
+    fetch: Callable[[frozenset], Mapping[int, TimeSeries]],
+) -> Iterator[TestPair]:
+    """The replication pairs of *config*, gathered from a population source.
 
-    *entries* maps population index → series for (at least) every series
-    the replication draws touch.
+    *dirty_idx* / *ideal_idx* are the population indices of each side, in
+    population order. The replication index streams are drawn first (they
+    need only the two side sizes), then *fetch(needed)* is called once with
+    the population indices every replication touches and returns
+    ``{population index: series}`` for (at least) those. Each side's
+    :class:`ParentGather` replays the whole-parent gathers of
+    :func:`~repro.sampling.replication.generate_test_pairs` on that bounded
+    subset, so the pairs are bitwise the in-memory ones. The streaming slab
+    engine fetches with a slab pass, the push service from its journal.
     """
+    draws = list(
+        replication_index_streams(
+            len(dirty_idx),
+            len(ideal_idx),
+            config.n_replications,
+            config.sample_size,
+            seed=config.seed,
+        )
+    )
+    needed = frozenset(
+        {dirty_idx[int(i)] for d_idx, _ in draws for i in d_idx}
+        | {ideal_idx[int(i)] for _, i_idx in draws for i in i_idx}
+    )
+    entries = fetch(needed)
 
     def gather(side_idx: Sequence[int]) -> ParentGather:
         return ParentGather(
@@ -263,7 +292,7 @@ def build_parent_gathers(
             },
         )
 
-    return gather(dirty_idx), gather(ideal_idx)
+    return iter_test_pairs(draws, gather(dirty_idx), gather(ideal_idx))
 
 
 def iter_test_pairs(

@@ -26,17 +26,16 @@ the ideal-set split calls the same fixed-point loop and per-series passes
 as :func:`~repro.glitches.detectors.identify_ideal`, and the gathered
 parents replay the exact parent-block gathers — ``tests/test_streaming.py``
 pins outcome equality across the serial, thread and process backends.
-Select the engine with ``ExperimentConfig(streaming=True)`` or
-``REPRO_STREAM=1`` (see :func:`streaming_enabled`).
+:func:`~repro.experiments.paper.run_experiment` and the sweep planner select
+the engine with ``ExperimentConfig(streaming=True)``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -55,12 +54,11 @@ from repro.data.stream import TimeSeries
 from repro.distance.base import Distance
 from repro.errors import ValidationError
 from repro.core.incremental import (
-    build_parent_gathers,
     cleanliness_fractions,
     fit_sigma_limits,
+    gather_test_pairs,
     ideal_columns,
     identify_fixed_point,
-    iter_test_pairs,
     outlier_fractions,
     split_verdicts,
 )
@@ -68,34 +66,16 @@ from repro.glitches.constraints import ConstraintSet, paper_constraints
 from repro.glitches.detectors import DetectorSuite, ScaleTransform, SigmaLimits
 from repro.sampling.bottom_k import BottomKSketch, indexed_ranks, union_sketches
 from repro.sampling.priority import PrioritySample, priority_sample_indexed
-from repro.sampling.replication import replication_index_streams
+from repro.sampling.replication import TestPair
 from repro.testing.faults import inject_fault
 from repro.utils.rng import Seed, as_generator, snapshot_seed, spawn_sequences
 from repro.utils.validation import check_fraction
 
 __all__ = [
-    "STREAM_ENV_VAR",
-    "streaming_enabled",
     "StreamingExperiment",
     "StreamingResult",
     "run_streaming_experiment",
 ]
-
-#: Environment variable selecting the streaming engine (``1``/``on`` enable).
-STREAM_ENV_VAR = "REPRO_STREAM"
-
-
-def streaming_enabled(config: Optional[ExperimentConfig] = None) -> bool:
-    """Whether the streaming slab engine is selected.
-
-    An explicit ``ExperimentConfig(streaming=...)`` wins; ``None`` defers to
-    the ``REPRO_STREAM`` environment variable; the default is the in-memory
-    path. Either choice computes identical numbers — streaming changes the
-    memory profile, never the outcomes.
-    """
-    if config is not None and config.streaming is not None:
-        return bool(config.streaming)
-    return os.environ.get(STREAM_ENV_VAR, "").strip().lower() in ("1", "on", "true", "yes")
 
 
 # ---------------------------------------------------------------------------
@@ -259,17 +239,11 @@ class StreamingExperiment:
     ):
         if max_iter < 1:
             raise ValidationError("max_iter must be >= 1")
-        self.config = config or ExperimentConfig()
-        if not isinstance(self.config.seed, int):
-            # The in-memory path consumes a shared SeedSequence/Generator
-            # config seed in lazy spawn order (strategy seeds first, pair
-            # draws second); the engine draws pairs eagerly, so only the
-            # disjoint int derivation (seed vs seed + 1) replays identically.
-            raise ValidationError(
-                "streaming identity requires an int ExperimentConfig.seed; "
-                "SeedSequence/Generator seeds are consumed order-dependently "
-                "by the in-memory replication loop"
-            )
+        # The in-memory path consumes a shared SeedSequence/Generator config
+        # seed in lazy spawn order (strategy seeds first, pair draws second);
+        # the engine draws pairs eagerly, so only the disjoint int derivation
+        # (seed vs seed + 1) replays identically.
+        self.config = self._replication_config(config or ExperimentConfig())
         self.constraints = (
             constraints if constraints is not None else paper_constraints()
         )
@@ -402,6 +376,52 @@ class StreamingExperiment:
         )
         return self._identified
 
+    # -- replication pairs ------------------------------------------------------
+
+    def _replication_config(self, config: Optional[ExperimentConfig]) -> ExperimentConfig:
+        cfg = self.config if config is None else config
+        if not isinstance(cfg.seed, int):
+            raise ValidationError(
+                "streaming identity requires an int ExperimentConfig.seed; "
+                "SeedSequence/Generator seeds are consumed order-dependently "
+                "by the in-memory replication loop"
+            )
+        return cfg
+
+    def pairs(self, config: Optional[ExperimentConfig] = None) -> Iterator[TestPair]:
+        """The replication pairs of *config* (default: the engine's own).
+
+        Runs the memoised identification, then one slab pass that gathers
+        only the series the replications touch
+        (:func:`~repro.core.incremental.gather_test_pairs`). The pairs are
+        bitwise the ones :func:`~repro.sampling.replication.generate_test_pairs`
+        draws from the materialised population; the sweep planner evaluates
+        every panel of a frame group over one such stream.
+        """
+        verdicts, _ = self.identify()
+        return self._gather_pairs(verdicts, self._replication_config(config))[0]
+
+    def _gather_pairs(
+        self,
+        verdicts: np.ndarray,
+        cfg: ExperimentConfig,
+        scoring: Optional[tuple[DetectorSuite, Optional[GlitchWeights]]] = None,
+    ) -> tuple[Iterator[TestPair], list]:
+        """:meth:`pairs` plus the gather pass's per-shard ``(kept, scores)``
+        chunks; *scoring* ``(suite, weights)`` makes the same pass also score
+        every dirty series for the sketches."""
+        dirty_idx, ideal_idx = split_verdicts(verdicts)
+        chunks: list = []
+
+        def fetch(needed: frozenset) -> dict:
+            spec = _GatherSpec(needed, *(scoring or (None, None)))
+            chunks.extend(
+                self._map(partial(_gather_slab, spec), self._shard_units(~verdicts))
+            )
+            return {idx: s for kept, _ in chunks for idx, s in kept}
+
+        return gather_test_pairs(dirty_idx, ideal_idx, cfg, fetch), chunks
+
     # -- the full run -----------------------------------------------------------
 
     def run(
@@ -413,7 +433,8 @@ class StreamingExperiment:
         cleanup: bool = True,
         config: Optional[ExperimentConfig] = None,
     ) -> StreamingResult:
-        """Run the whole experiment out of core.
+        """Run the whole experiment out of core: :meth:`pairs`, then
+        :func:`~repro.core.framework.run_pair_stream`.
 
         *constraints* here are the evaluation-time rules (defaulting to the
         paper's, like :class:`~repro.core.framework.ExperimentRunner`);
@@ -426,59 +447,24 @@ class StreamingExperiment:
 
         *config* overrides the engine's replication config for this call
         only (the population recipe and identification parameters stay
-        fixed): the sweep planner runs every cell of a shared-recipe group
-        through one engine — same feed, same memoised identification —
-        varying only the replication loop. Pass ``cleanup=False`` between
-        such calls so the spilled shards survive for the next cell.
+        fixed). Pass ``cleanup=False`` to keep the spilled shards for a
+        later call on the same engine.
         """
-        cfg = self.config if config is None else config
-        if not isinstance(cfg.seed, int):
-            raise ValidationError(
-                "streaming identity requires an int ExperimentConfig.seed; "
-                "SeedSequence/Generator seeds are consumed order-dependently "
-                "by the in-memory replication loop"
-            )
+        cfg = self._replication_config(config)
         try:
             verdicts, suite = self.identify()
             dirty_idx, ideal_idx = split_verdicts(verdicts)
-
-            # Draw the replication index streams up front — they only need
-            # the two population sizes — then gather just the touched series.
-            draws = list(
-                replication_index_streams(
-                    len(dirty_idx),
-                    len(ideal_idx),
-                    cfg.n_replications,
-                    cfg.sample_size,
-                    seed=cfg.seed,
-                )
+            sketching = self.sketch_k is not None
+            pairs, chunks = self._gather_pairs(
+                verdicts, cfg, (suite, weights) if sketching else None
             )
-            needed = frozenset(
-                {dirty_idx[int(i)] for d_idx, _ in draws for i in d_idx}
-                | {ideal_idx[int(i)] for _, i_idx in draws for i in i_idx}
-            )
-            gather_spec = _GatherSpec(
-                needed=needed,
-                suite=suite if self.sketch_k is not None else None,
-                weights=weights if self.sketch_k is not None else None,
-            )
-            chunks = self._map(
-                partial(_gather_slab, gather_spec), self._shard_units(~verdicts)
-            )
-            entries = {idx: s for kept, _ in chunks for idx, s in kept}
-
             scores = sketch = priority = None
-            if self.sketch_k is not None:
+            if sketching:
                 scores, sketch, priority = self._sketch(
                     dirty_idx, [s for _, s in chunks]
                 )
-
-            dirty_gather, ideal_gather = build_parent_gathers(
-                dirty_idx, ideal_idx, entries
-            )
-
             result = run_pair_stream(
-                iter_test_pairs(draws, dirty_gather, ideal_gather),
+                pairs,
                 strategies,
                 config=cfg,
                 distance=distance,
@@ -492,7 +478,7 @@ class StreamingExperiment:
                 dirty_indices=dirty_idx,
                 ideal_indices=ideal_idx,
                 suite=suite,
-                n_gathered=len(entries),
+                n_gathered=sum(len(kept) for kept, _ in chunks),
                 n_store_passes=self._store_passes,
                 spilled_bytes=self.feed.spilled_bytes(),
                 n_evicted=self.feed.n_evicted,

@@ -68,8 +68,7 @@ def run_experiment(
 ) -> ExperimentResult:
     """The Figure-6 experiment at a named scale, through either engine.
 
-    The ``REPRO_STREAM`` environment variable / ``config.streaming`` field
-    selects the path: the default materialises the population
+    The ``config.streaming`` field selects the path: the default materialises the population
     (:func:`~repro.experiments.config.build_population` +
     :func:`run_figure6`), while the streaming choice runs the out-of-core
     slab engine (:class:`~repro.core.streaming.StreamingExperiment`) with
@@ -92,7 +91,7 @@ def run_experiment(
     name — the same cell as the equivalent name selector; only genuinely
     customised instances bypass the catalog.
     """
-    from repro.core.streaming import run_streaming_experiment, streaming_enabled
+    from repro.core.streaming import run_streaming_experiment
     from repro.experiments.config import SCALES, build_population, experiment_config
     from repro.store.catalog import (
         distance_key_name,
@@ -128,7 +127,7 @@ def run_experiment(
                 if cached is not None:
                     return cached
         t0 = time.perf_counter()
-        if streaming_enabled(config):
+        if config.streaming:
             engine = "streaming"
             result = run_streaming_experiment(
                 scale,

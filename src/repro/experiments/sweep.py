@@ -34,15 +34,10 @@ its own per-replication random streams and its own distortion grid (the
 shared-support grid is a function of the panel composition), and cells whose
 config seed is not a plain int fall back to standalone per-cell evaluation
 (non-int seeds are consumed order-dependently by the replication loop).
-
-``REPRO_SWEEP_INCREMENTAL=0`` disables catalog serving (every cell
-recomputes — the from-scratch reference the benchmarks compare against);
-the default is incremental.
 """
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -54,8 +49,6 @@ from repro.errors import ExperimentError, ResilienceWarning, ValidationError
 from repro.utils.rng import Seed
 
 __all__ = [
-    "SWEEP_INCREMENTAL_ENV_VAR",
-    "sweep_incremental_enabled",
     "SweepCell",
     "CellKey",
     "cell_key",
@@ -71,24 +64,6 @@ __all__ = [
     "table1_cells",
     "cost_cells",
 ]
-
-#: Environment variable disabling incremental serving (``0``/``off``).
-SWEEP_INCREMENTAL_ENV_VAR = "REPRO_SWEEP_INCREMENTAL"
-
-
-def sweep_incremental_enabled(override: Optional[bool] = None) -> bool:
-    """Whether :func:`run_sweep` serves unchanged cells from the catalog.
-
-    An explicit *override* wins; ``None`` defers to the
-    ``REPRO_SWEEP_INCREMENTAL`` environment variable; the default is on.
-    Disabling never changes a number — every cell then recomputes through
-    the same grouped evaluation, bitwise-identical to the served payloads.
-    """
-    if override is not None:
-        return bool(override)
-    raw = os.environ.get(SWEEP_INCREMENTAL_ENV_VAR, "").strip().lower()
-    return raw not in ("0", "off", "false", "no")
-
 
 # ---------------------------------------------------------------------------
 # Cells and keys
@@ -428,7 +403,7 @@ class SweepResult:
         """Total backend ladder steps survived across all cells."""
         return sum(len(steps) for steps in self.degradations().values())
 
-    def retry_failed(self, catalog=None, backend=None, incremental=None) -> "SweepResult":
+    def retry_failed(self, catalog=None, backend=None) -> "SweepResult":
         """Re-plan and re-run exactly the :meth:`failed` cells.
 
         Closes the loop the planner opened by never caching failures: the
@@ -451,7 +426,6 @@ class SweepResult:
             [self.source_cells[name] for name in failed_names],
             catalog=catalog,
             backend=backend,
-            incremental=incremental,
         )
         retried = {c.name: c for c in retry.cells}
         merged = SweepResult(
@@ -620,7 +594,6 @@ def run_sweep(
     cells: Sequence[SweepCell],
     catalog=None,
     backend=None,
-    incremental: Optional[bool] = None,
     name: Optional[str] = None,
 ) -> SweepResult:
     """Execute a sweep incrementally: serve what is valid, batch what is not.
@@ -628,19 +601,19 @@ def run_sweep(
     1. **Plan** — key every cell (:func:`plan_sweep`); when *name* is given
        and a catalog is attached, diff the plan against the last recorded
        manifest of that sweep (the invalidation report in ``result.diff``).
-    2. **Serve** — with incremental on (the default; *incremental* argument,
-       then ``REPRO_SWEEP_INCREMENTAL``), each keyed cell is looked up in
-       the catalog exactly once and served bitwise-identically on a hit.
-    3. **Batch** — missing cells are grouped by shared population (built at
-       most once per group — ``result.n_builds`` counts), then by shared
-       outcome config into frame groups evaluated in one multi-panel pass
-       over shared replication pairs
-       (:func:`~repro.core.framework.run_pair_panels_stream`). Groups whose
-       cells all select the streaming engine share one
+    2. **Serve** — with a catalog attached, each keyed cell is looked up
+       in it exactly once and served bitwise-identically on a hit.
+    3. **Batch** — missing cells are grouped by shared population, and each
+       group gets one pair source: its bundle (built at most once per
+       group — ``result.n_builds`` counts) or, when every cell selects
+       ``streaming`` with an int seed, one shared
        :class:`~repro.core.streaming.StreamingExperiment` (one feed, one
-       memoised identification fixed point) and never materialise the
-       population. Cells that cannot share (non-int seeds) fall back to
-       standalone evaluation.
+       memoised identification fixed point, no materialised population).
+       Either way the group's cells are sub-grouped by shared outcome
+       config into frame groups, each evaluated in one multi-panel pass
+       over shared replication pairs
+       (:func:`~repro.core.framework.run_pair_panels_stream`). Cells that
+       cannot share (non-int seeds) run as frames of their own.
     4. **Record** — computed cells are stored; when *name* is given the
        plan's manifest is appended to the catalog's ``sweeps`` table for
        the next run's diff.
@@ -653,7 +626,6 @@ def run_sweep(
     from repro.store.catalog import resolve_catalog
 
     plan = plan_sweep(cells)
-    incremental = sweep_incremental_enabled(incremental)
     cat, owned = resolve_catalog(catalog)
     try:
         diff = None
@@ -661,7 +633,7 @@ def run_sweep(
             diff = diff_manifests(cat.last_sweep(name), plan.manifest())
 
         served: dict[str, ExperimentResult] = {}
-        if cat is not None and incremental:
+        if cat is not None:
             for cell in plan.cells:
                 key = plan.keys[cell.name]
                 if key is None:
@@ -739,6 +711,13 @@ def _compute_cells(
 ) -> tuple[dict[str, ExperimentResult], dict[str, str], int, int]:
     """Evaluate the invalid frontier, shared-population group by group.
 
+    Each group gets one pair source: ``generate_test_pairs`` over its
+    bundle (given, or built once), or — when every cell selects the
+    streaming engine with an int seed — :meth:`StreamingExperiment.pairs
+    <repro.core.streaming.StreamingExperiment.pairs>` over one shared
+    engine (one feed, one memoised identification, no materialised
+    population). :func:`_run_group` then evaluates the group either way.
+
     Returns ``({cell name -> result}, {cell name -> error}, n_builds,
     n_groups)`` where ``n_builds`` counts population materialisations and
     ``n_groups`` the evaluation batches actually dispatched. A cell appears
@@ -746,7 +725,9 @@ def _compute_cells(
     evaluation fails that group's still-unscored cells (with provenance)
     and never the already-completed frontier.
     """
-    from repro.core.streaming import streaming_enabled
+    from repro.core.streaming import StreamingExperiment
+    from repro.experiments.config import build_population
+    from repro.sampling.replication import generate_test_pairs
 
     groups: dict[tuple, list[SweepCell]] = {}
     for cell in cells:
@@ -757,20 +738,32 @@ def _compute_cells(
     n_builds = 0
     n_groups = 0
     for members in groups.values():
+        head = members[0]
         bundle = next((c.bundle for c in members if c.bundle is not None), None)
-        if (
-            bundle is None
-            and all(streaming_enabled(c.config) for c in members)
-            and all(isinstance(c.config.seed, int) for c in members)
+        if bundle is None and all(
+            c.config.streaming and isinstance(c.config.seed, int) for c in members
         ):
-            n_groups += _run_streaming_group(
-                members, keys, cat, backend, results, errors
-            )
+            try:
+                gen_cfg, inj_cfg = _recipe_configs(head)
+                engine = StreamingExperiment(
+                    generator_config=gen_cfg,
+                    injection_config=inj_cfg,
+                    seed=head.seed,
+                    config=head.config,
+                    backend=backend,
+                )
+            except Exception as exc:
+                _fail_cells(members, exc, errors)
+                continue
+            try:
+                n_groups += _run_group(
+                    members, keys, cat, backend, engine.pairs, "streaming",
+                    results, errors,
+                )
+            finally:
+                engine.feed.cleanup()
             continue
         if bundle is None:
-            from repro.experiments.config import build_population
-
-            head = members[0]
             gen_cfg, inj_cfg = _recipe_configs(head)
             try:
                 bundle = build_population(
@@ -784,72 +777,56 @@ def _compute_cells(
                 _fail_cells(members, exc, errors)
                 continue
             n_builds += 1
-        n_groups += _run_bundle_group(
-            members, keys, cat, backend, bundle, results, errors
+
+        def bundle_pairs(config: ExperimentConfig, bundle=bundle):
+            return generate_test_pairs(
+                bundle.dirty,
+                bundle.ideal,
+                n_pairs=config.n_replications,
+                sample_size=config.sample_size,
+                seed=config.seed,
+            )
+
+        n_groups += _run_group(
+            members, keys, cat, backend, bundle_pairs, "block", results, errors
         )
     return results, errors, n_builds, n_groups
 
 
-def _run_bundle_group(
+def _run_group(
     members: Sequence[SweepCell],
     keys: Mapping[str, Optional[CellKey]],
     cat,
     backend,
-    bundle,
+    pairs_for,
+    engine: str,
     results: dict,
     errors: dict,
 ) -> int:
-    """Evaluate one shared-population group on a materialised bundle.
+    """Evaluate one shared-population group over its pair source.
 
     Cells are sub-grouped by outcome config (:func:`_frame_token`): each
-    frame group runs as one multi-panel pass over shared pairs; cells that
-    cannot share fall back to a standalone runner. A failed pass fails only
-    its own cells (recorded in *errors*). Returns the number of evaluation
-    batches dispatched.
+    frame group runs as one multi-panel pass over the pairs
+    ``pairs_for(config)`` yields for the frame's config. Cells that cannot
+    share (non-int seeds) run as frames of their own, consuming their
+    seed exactly as a standalone run does. A failed pass fails only its own
+    cells (recorded in *errors*). Returns the number of evaluation batches
+    dispatched.
     """
-    from repro.core.framework import ExperimentRunner, run_pair_panels_stream
-    from repro.sampling.replication import generate_test_pairs
+    from repro.core.framework import run_pair_panels_stream
 
-    frames: dict[Optional[str], list[SweepCell]] = {}
+    frames: dict[object, list[SweepCell]] = {}
     for cell in members:
-        frames.setdefault(_frame_token(cell), []).append(cell)
+        token = _frame_token(cell)
+        frames.setdefault(token if token is not None else id(cell), []).append(cell)
 
     batches = 0
-    for token, group in frames.items():
-        if token is None:
-            # Standalone fallback: non-int seeds must consume their streams
-            # in the exact lazy order of the single-panel loop.
-            for cell in group:
-                t0 = time.perf_counter()
-                try:
-                    runner = ExperimentRunner(
-                        bundle.dirty, bundle.ideal, config=cell.config,
-                        backend=backend,
-                    )
-                    results[cell.name] = runner.run(cell_strategies(cell))
-                except Exception as exc:
-                    _fail_cells([cell], exc, errors)
-                    continue
-                batches += 1
-                _maybe_record(
-                    cat, cell, keys, results[cell.name], "block",
-                    time.perf_counter() - t0,
-                )
-            continue
+    for group in frames.values():
         t0 = time.perf_counter()
         rep = group[0].config
         try:
-            pairs = list(
-                generate_test_pairs(
-                    bundle.dirty,
-                    bundle.ideal,
-                    n_pairs=rep.n_replications,
-                    sample_size=rep.sample_size,
-                    seed=rep.seed,
-                )
-            )
             panel_results = run_pair_panels_stream(
-                pairs,
+                pairs_for(rep),
                 [cell_strategies(cell) for cell in group],
                 config=rep,
                 backend=backend,
@@ -862,60 +839,7 @@ def _run_bundle_group(
         wall = time.perf_counter() - t0
         for cell, res in zip(group, panel_results):
             results[cell.name] = res
-            _maybe_record(cat, cell, keys, res, "block", wall)
-    return batches
-
-
-def _run_streaming_group(
-    members: Sequence[SweepCell],
-    keys: Mapping[str, Optional[CellKey]],
-    cat,
-    backend,
-    results: dict,
-    errors: dict,
-) -> int:
-    """Evaluate one shared-recipe group through a single streaming engine.
-
-    The feed (and its spilled shards) and the identification fixed point
-    are shared across every cell; each cell runs its own replication loop
-    with its own config. An engine that cannot be constructed fails the
-    whole group; a failed cell run fails only that cell (recorded in
-    *errors*). Returns the number of engine runs dispatched.
-    """
-    from repro.core.streaming import StreamingExperiment
-
-    head = members[0]
-    try:
-        gen_cfg, inj_cfg = _recipe_configs(head)
-        engine = StreamingExperiment(
-            generator_config=gen_cfg,
-            injection_config=inj_cfg,
-            seed=head.seed,
-            config=head.config,
-            backend=backend,
-        )
-    except Exception as exc:
-        _fail_cells(members, exc, errors)
-        return 0
-    batches = 0
-    try:
-        for cell in members:
-            t0 = time.perf_counter()
-            try:
-                streamed = engine.run(
-                    cell_strategies(cell), cleanup=False, config=cell.config
-                )
-            except Exception as exc:
-                _fail_cells([cell], exc, errors)
-                continue
-            results[cell.name] = streamed.result
-            batches += 1
-            _maybe_record(
-                cat, cell, keys, streamed.result, "streaming",
-                time.perf_counter() - t0,
-            )
-    finally:
-        engine.feed.cleanup()
+            _maybe_record(cat, cell, keys, res, engine, wall)
     return batches
 
 

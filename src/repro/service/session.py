@@ -9,8 +9,7 @@ sized by ``REPRO_SESSION_RING``), and leaves an audit record in the
 session's :class:`~repro.service.alerts.AlertSink`. :meth:`finalize`
 reassembles the journaled streams into the batch engine's exact inputs and
 routes them through the same replication arithmetic
-(:func:`~repro.sampling.replication.replication_index_streams` →
-:class:`~repro.sampling.replication.ParentGather` →
+(:func:`~repro.core.incremental.gather_test_pairs` →
 :func:`~repro.core.framework.run_pair_stream`), so final outcomes are
 **bitwise-identical** to :class:`~repro.core.streaming.StreamingExperiment`
 on the same population, for every selectable distance — however hostile the
@@ -45,8 +44,7 @@ from repro.core.glitch_index import GlitchWeights
 from repro.core.incremental import (
     IncrementalScorer,
     WindowDelta,
-    build_parent_gathers,
-    iter_test_pairs,
+    gather_test_pairs,
     split_verdicts,
 )
 from repro.data.window import StreamWindow
@@ -58,7 +56,6 @@ from repro.glitches.detectors import (
     SigmaLimits,
     SigmaOutlierDetector,
 )
-from repro.sampling.replication import replication_index_streams
 from repro.store.catalog import Catalog, code_salt, resolve_catalog
 from repro.utils.validation import check_fraction, check_positive_int
 
@@ -330,15 +327,15 @@ class MonitoringSession:
         """Score the journaled population — bitwise the batch engines' run.
 
         Reassembles every stream (the journal must hold each one complete),
-        splits on the identified verdicts, draws the exact per-replication
-        index streams of the in-memory path, gathers the touched series,
-        and evaluates through :func:`run_pair_stream` — the same arithmetic
-        :class:`~repro.core.streaming.StreamingExperiment.run` drives, so
-        the outcomes are bitwise-identical to both batch engines for every
+        splits on the identified verdicts and hands the journal's series to
+        :func:`~repro.core.incremental.gather_test_pairs`, then evaluates
+        through :func:`run_pair_stream` — the same two steps
+        :meth:`~repro.core.streaming.StreamingExperiment.run` takes, so the
+        outcomes are bitwise-identical to both batch engines for every
         selectable distance, regardless of how the windows arrived.
         """
         cfg = self.config
-        verdicts, suite = self.identify()
+        verdicts, _ = self.identify()
         series = self.scorer.journal.assemble()
         if verdicts.size != len(series):
             raise ValidationError(
@@ -346,25 +343,11 @@ class MonitoringSession:
                 f"{len(series)}"
             )
         dirty_idx, ideal_idx = split_verdicts(verdicts)
-        draws = list(
-            replication_index_streams(
-                len(dirty_idx),
-                len(ideal_idx),
-                cfg.n_replications,
-                cfg.sample_size,
-                seed=cfg.seed,
-            )
-        )
-        needed = frozenset(
-            {dirty_idx[int(i)] for d_idx, _ in draws for i in d_idx}
-            | {ideal_idx[int(i)] for _, i_idx in draws for i in i_idx}
-        )
-        entries = {idx: series[idx] for idx in needed}
-        dirty_gather, ideal_gather = build_parent_gathers(
-            dirty_idx, ideal_idx, entries
+        pairs = gather_test_pairs(
+            dirty_idx, ideal_idx, cfg, lambda needed: {i: series[i] for i in needed}
         )
         return run_pair_stream(
-            iter_test_pairs(draws, dirty_gather, ideal_gather),
+            pairs,
             strategies,
             config=cfg,
             distance=distance,

@@ -6,11 +6,12 @@ import pytest
 from repro.cleaning.registry import paper_strategies, strategy_by_name
 from repro.core.distortion import statistical_distortion
 from repro.core.evaluation import glitch_fraction_table, summarize_outcomes
-from repro.core.framework import ExperimentConfig, ExperimentRunner
+from repro.core.framework import ExperimentConfig, ExperimentRunner, run_pair_panels_stream
 from repro.distance.emd_approx import MarginalEmd
 from repro.errors import DistanceError, ExperimentError
 from repro.glitches.detectors import ScaleTransform
 from repro.glitches.types import GlitchType
+from repro.sampling.replication import generate_test_pairs
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +127,27 @@ class TestRunner:
         for oa, ob in zip(a.outcomes, b.outcomes):
             assert oa.improvement == pytest.approx(ob.improvement)
             assert oa.distortion == pytest.approx(ob.distortion)
+
+
+class TestPanelsStream:
+    def test_multi_panel_rejects_non_int_seed(self, tiny_bundle):
+        # A SeedSequence advances as it spawns, so a second panel could not
+        # replay the first panel's streams.
+        cfg = ExperimentConfig(
+            n_replications=1, sample_size=5, seed=np.random.SeedSequence(0)
+        )
+        pairs = generate_test_pairs(tiny_bundle.dirty, tiny_bundle.ideal, 1, 5, seed=0)
+        panels = [[strategy_by_name("strategy1")], [strategy_by_name("strategy4")]]
+        with pytest.raises(ExperimentError):
+            run_pair_panels_stream(pairs, panels, cfg)
+
+    def test_single_panel_accepts_non_int_seed(self, tiny_bundle):
+        cfg = ExperimentConfig(
+            n_replications=2, sample_size=5, seed=np.random.SeedSequence(0)
+        )
+        pairs = generate_test_pairs(tiny_bundle.dirty, tiny_bundle.ideal, 2, 5, seed=0)
+        (result,) = run_pair_panels_stream(pairs, [[strategy_by_name("strategy4")]], cfg)
+        assert [o.replication for o in result.outcomes] == [0, 1]
 
 
 class TestSummaries:

@@ -18,7 +18,6 @@ from repro.core.framework import ExperimentConfig, ExperimentRunner
 from repro.core.streaming import (
     StreamingExperiment,
     run_streaming_experiment,
-    streaming_enabled,
 )
 from repro.data.generator import GeneratorConfig
 from repro.errors import ValidationError
@@ -242,22 +241,7 @@ class TestDistanceSelector:
 
 
 class TestSelection:
-    def test_env_knob(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STREAM", raising=False)
-        assert not streaming_enabled()
-        monkeypatch.setenv("REPRO_STREAM", "1")
-        assert streaming_enabled()
-        monkeypatch.setenv("REPRO_STREAM", "off")
-        assert not streaming_enabled()
-
-    def test_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM", "1")
-        assert not streaming_enabled(ExperimentConfig(streaming=False))
-        monkeypatch.delenv("REPRO_STREAM", raising=False)
-        assert streaming_enabled(ExperimentConfig(streaming=True))
-
-    def test_run_experiment_streams_identically(self, monkeypatch, tiny_cfg):
-        monkeypatch.delenv("REPRO_STREAM", raising=False)
+    def test_run_experiment_streams_identically(self, tiny_cfg):
         in_memory = run_experiment(
             "tiny", seed=0, config=tiny_cfg, strategies=STRATEGIES
         )

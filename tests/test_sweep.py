@@ -18,7 +18,6 @@ from repro.core.framework import ExperimentConfig, ExperimentRunner
 from repro.errors import ExperimentError
 from repro.experiments.config import build_population, experiment_config
 from repro.experiments.sweep import (
-    SWEEP_INCREMENTAL_ENV_VAR,
     PlanDiff,
     SweepCell,
     cell_key,
@@ -27,7 +26,6 @@ from repro.experiments.sweep import (
     figure6_cells,
     plan_sweep,
     run_sweep,
-    sweep_incremental_enabled,
 )
 from repro.store.catalog import CODE_SALT_ENV_VAR, Catalog
 
@@ -301,20 +299,6 @@ class TestIncrementalServing:
             for name in cold.keys():
                 assert _keys(res[name]) == _keys(cold[name])
 
-    def test_incremental_off_recomputes_identically(self, cfg, tmp_path, monkeypatch):
-        cells = figure6_cells(scale="tiny", base_config=cfg)
-        with Catalog(tmp_path / "cat.sqlite") as cat:
-            cold = run_sweep(cells, catalog=cat)
-            monkeypatch.setenv(SWEEP_INCREMENTAL_ENV_VAR, "0")
-            assert not sweep_incremental_enabled()
-            res = run_sweep(cells, catalog=cat)
-            assert res.n_hits == 0 and res.n_recomputed == len(cells)
-            for name in cold.keys():
-                assert _keys(res[name]) == _keys(cold[name])
-            monkeypatch.delenv(SWEEP_INCREMENTAL_ENV_VAR)
-            assert sweep_incremental_enabled()
-            assert sweep_incremental_enabled(override=False) is False
-
 
 # ---------------------------------------------------------------------------
 # Cost sweeps as cells
@@ -326,6 +310,18 @@ class TestCostCells:
         cells = cost_cells("strategy1", (0.25, 0.5, 1.0), cfg, scale="tiny")
         res = run_sweep(cells)
         assert res.n_builds == 1 and res.n_groups == 1
+        bundle = build_population(scale="tiny", seed=0)
+        for cell in cells:
+            assert _keys(res[cell.name]) == _keys(_standalone(bundle, cell))
+
+    def test_streaming_cost_cells_share_one_engine_pass(self, cfg):
+        """Streaming cells of one frame share one gather and one panel pass,
+        as bundle cells do, and stay bitwise the per-cell block runs."""
+        cells = cost_cells(
+            "strategy1", (0.5, 1.0), cfg.variant(streaming=True), scale="tiny"
+        )
+        res = run_sweep(cells)
+        assert res.n_builds == 0 and res.n_groups == 1
         bundle = build_population(scale="tiny", seed=0)
         for cell in cells:
             assert _keys(res[cell.name]) == _keys(_standalone(bundle, cell))
