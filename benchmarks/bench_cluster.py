@@ -16,7 +16,8 @@ Four cells:
   finish on the survivor with bitwise-identical outcomes; the recovery
   wall and re-dispatch counters are recorded.
 
-Records ``{wall_s, speedup, identity_ok, ...}`` into ``BENCH_PR9.json``.
+Records ``{wall_s, speedup, identity_ok, ...}`` into ``$REPRO_BENCH_JSON``
+(default ``BENCH_PR10.json``).
 
 Run:  REPRO_SCALE=tiny PYTHONPATH=src python -m pytest -q -s benchmarks/bench_cluster.py
 """

@@ -16,7 +16,8 @@ Two cells:
   must be absorbed — retried, regenerated, or re-dispatched — with
   outcomes **bitwise-identical** to the clean runs.
 
-Records ``{wall_s, overhead_ratio, identity_ok}`` into ``BENCH_PR9.json``.
+Records ``{wall_s, overhead_ratio, identity_ok}`` into ``$REPRO_BENCH_JSON``
+(default ``BENCH_PR10.json``).
 
 Run:  REPRO_SCALE=tiny PYTHONPATH=src python -m pytest -q -s benchmarks/bench_faults.py
 """
