@@ -79,8 +79,9 @@ class ExperimentConfig:
     backends (default: all available CPUs).
 
     ``streaming`` selects the out-of-core slab engine
-    (:mod:`repro.core.streaming`) in :func:`~repro.experiments.paper.run_experiment`
-    and the sweep planner; the default is the in-memory path. Like the
+    (:mod:`repro.core.streaming`) in
+    :func:`~repro.experiments.paper.run_experiment` and the sweep planner;
+    the default is the in-memory path. Like the
     backend, streaming is a pure memory choice — the streamed experiment
     is bitwise-identical to the materialised one.
 
@@ -346,10 +347,11 @@ def evaluate_pair_outcomes(
 ) -> list[StrategyOutcome]:
     """Evaluate every strategy on one replication pair.
 
-    Strategies are cleaned first in list order — preserving the per-replication random stream layout of
-    the serial loop — then all treated samples are scored against the dirty
-    sample in one batched distortion call, which bins the dirty side once on
-    a grid shared by the whole strategy panel.
+    Strategies are cleaned first in list order — preserving the
+    per-replication random stream layout of the serial loop — then all
+    treated samples are scored against the dirty sample in one batched
+    distortion call, which bins the dirty side once on a grid shared by the
+    whole strategy panel.
 
     The whole clean → annotate → score loop runs on the pair's
     :class:`~repro.data.block.SampleBlock` tensors (NaN-padded when the

@@ -239,10 +239,6 @@ class StreamingExperiment:
     ):
         if max_iter < 1:
             raise ValidationError("max_iter must be >= 1")
-        # The in-memory path consumes a shared SeedSequence/Generator config
-        # seed in lazy spawn order (strategy seeds first, pair draws second);
-        # the engine draws pairs eagerly, so only the disjoint int derivation
-        # (seed vs seed + 1) replays identically.
         self.config = self._replication_config(config or ExperimentConfig())
         self.constraints = (
             constraints if constraints is not None else paper_constraints()
@@ -380,6 +376,10 @@ class StreamingExperiment:
 
     def _replication_config(self, config: Optional[ExperimentConfig]) -> ExperimentConfig:
         cfg = self.config if config is None else config
+        # The in-memory path consumes a shared SeedSequence/Generator config
+        # seed in lazy spawn order (strategy seeds first, pair draws second);
+        # the engine draws pairs eagerly, so only the disjoint int derivation
+        # (seed vs seed + 1) replays identically.
         if not isinstance(cfg.seed, int):
             raise ValidationError(
                 "streaming identity requires an int ExperimentConfig.seed; "
@@ -396,7 +396,8 @@ class StreamingExperiment:
         (:func:`~repro.core.incremental.gather_test_pairs`). The pairs are
         bitwise the ones :func:`~repro.sampling.replication.generate_test_pairs`
         draws from the materialised population; the sweep planner evaluates
-        every panel of a frame group over one such stream.
+        every panel of a frame group over one such stream. Spilled shards
+        stay for later calls until ``feed.cleanup()``.
         """
         verdicts, _ = self.identify()
         return self._gather_pairs(verdicts, self._replication_config(config))[0]
@@ -430,8 +431,6 @@ class StreamingExperiment:
         distance: Optional[Distance] = None,
         weights: Optional[GlitchWeights] = None,
         constraints: Optional[ConstraintSet] = None,
-        cleanup: bool = True,
-        config: Optional[ExperimentConfig] = None,
     ) -> StreamingResult:
         """Run the whole experiment out of core: :meth:`pairs`, then
         :func:`~repro.core.framework.run_pair_stream`.
@@ -443,14 +442,9 @@ class StreamingExperiment:
         ``None`` defers to the config's ``distance`` selector and then the
         paper's EMD — the same resolution the in-memory runner applies, so
         KL/JS/KS-scored streaming runs stay bitwise-identical to their
-        block-path counterparts.
-
-        *config* overrides the engine's replication config for this call
-        only (the population recipe and identification parameters stay
-        fixed). Pass ``cleanup=False`` to keep the spilled shards for a
-        later call on the same engine.
+        block-path counterparts. The spilled shards are removed on return.
         """
-        cfg = self._replication_config(config)
+        cfg = self.config
         try:
             verdicts, suite = self.identify()
             dirty_idx, ideal_idx = split_verdicts(verdicts)
@@ -487,8 +481,7 @@ class StreamingExperiment:
                 priority=priority,
             )
         finally:
-            if cleanup:
-                self.feed.cleanup()
+            self.feed.cleanup()
 
     def _sketch(
         self, dirty_idx: list[int], score_chunks: Sequence[np.ndarray]

@@ -68,7 +68,8 @@ def run_experiment(
 ) -> ExperimentResult:
     """The Figure-6 experiment at a named scale, through either engine.
 
-    The ``config.streaming`` field selects the path: the default materialises the population
+    The ``config.streaming`` field selects the path: the default
+    materialises the population
     (:func:`~repro.experiments.config.build_population` +
     :func:`run_figure6`), while the streaming choice runs the out-of-core
     slab engine (:class:`~repro.core.streaming.StreamingExperiment`) with
