@@ -177,16 +177,26 @@ class PopulationBundle:
         A SHA-256 over :meth:`fingerprint` — the bitwise-comparable
         reduction of everything the determinism contract pins — so two
         bundles share a key iff they are bitwise-identical builds, however
-        they were produced (any backend, shard layout or engine).
+        they were produced (any backend, shard layout or engine). The
+        per-series byte lists are hashed raw, each element behind a length
+        prefix (and each list behind a count), so the hash never builds a
+        ``repr`` of the population; the small fields hash their ``repr``.
         """
         import hashlib
 
         fp = self.fingerprint()
         h = hashlib.sha256()
         for name in sorted(fp):
+            value = fp[name]
             h.update(name.encode())
             h.update(b"\x00")
-            h.update(repr(fp[name]).encode())
+            if isinstance(value, list) and all(isinstance(v, bytes) for v in value):
+                h.update(len(value).to_bytes(8, "little"))
+                for item in value:
+                    h.update(len(item).to_bytes(8, "little"))
+                    h.update(item)
+            else:
+                h.update(repr(value).encode())
             h.update(b"\x00")
         return "content:" + h.hexdigest()
 

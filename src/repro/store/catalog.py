@@ -32,8 +32,10 @@ Every outcome key is additionally salted with the **code version**
 (:func:`code_salt`): scoring-relevant code changes bump
 :data:`CODE_VERSION`, which atomically invalidates every cached cell —
 the catalog-side half of the sweep planner's invalidation diff
-(:mod:`repro.experiments.sweep`). Set ``REPRO_CODE_SALT`` to override the
-salt without touching code (e.g. to force a full recompute).
+(:mod:`repro.experiments.sweep`). The default salt also carries the
+Python, numpy and scipy versions, so a dependency upgrade invalidates the
+same way. Set ``REPRO_CODE_SALT`` to override the salt without touching
+code (e.g. to force a full recompute).
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import hashlib
 import json
 import os
 import pickle
+import platform
 import sqlite3
 import warnings
 from datetime import datetime, timezone
@@ -49,6 +52,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
+import scipy
 
 from repro.core.resilience import RetryPolicy
 from repro.errors import StoreError, StoreWarning, ValidationError
@@ -92,8 +96,14 @@ CODE_VERSION = "2026.08-1"
 
 def code_salt() -> str:
     """The salt folded into outcome keys: ``REPRO_CODE_SALT`` when set
-    (non-empty), else :data:`CODE_VERSION`."""
-    return os.environ.get(CODE_SALT_ENV_VAR, "").strip() or CODE_VERSION
+    (non-empty), else :data:`CODE_VERSION` plus the Python, numpy and scipy
+    versions — outcome bits come from those libraries too (EMD flows
+    straight from scipy's HiGHS build), so upgrading any of them recomputes
+    instead of serving numbers the new stack might not reproduce."""
+    return os.environ.get(CODE_SALT_ENV_VAR, "").strip() or (
+        f"{CODE_VERSION}|python={platform.python_version()}"
+        f"|numpy={np.__version__}|scipy={scipy.__version__}"
+    )
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS populations (

@@ -1,6 +1,8 @@
 """Sharded pipeline: layout planning, stage execution, and the population
 build's cross-backend bitwise-determinism contract."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,7 @@ class TestPopulationDeterminism:
         one_shard = build_population(scale="tiny", seed=5, shard_size=10_000)
         many_shards = build_population(scale="tiny", seed=5, shard_size=3)
         assert one_shard.fingerprint() == many_shards.fingerprint()
+        assert one_shard.content_key() == many_shards.content_key()
 
     def test_backend_spec_string_accepted(self):
         spec = build_population(scale="tiny", seed=3, backend="thread:2")
@@ -177,3 +180,20 @@ class TestPopulationDeterminism:
         a = build_population(scale="tiny", seed=0)
         b = build_population(scale="tiny", seed=1)
         assert a.fingerprint() != b.fingerprint()
+
+
+class TestContentKey:
+    """`PopulationBundle.content_key` is a hash of the fingerprint: any
+    changed byte moves it (layouts of one build keep it, as
+    `test_shard_layout_invariance` checks)."""
+
+    def test_one_value_byte_moves_key(self, tiny_bundle):
+        other = copy.deepcopy(tiny_bundle)
+        other.population[7].values.view(np.uint8)[3] ^= 1
+        assert other.content_key() != tiny_bundle.content_key()
+
+    def test_one_mask_byte_moves_key(self, tiny_bundle):
+        other = copy.deepcopy(tiny_bundle)
+        mask = other.injection.records[4].missing_mask
+        mask[0, 0] = not mask[0, 0]
+        assert other.content_key() != tiny_bundle.content_key()

@@ -415,6 +415,21 @@ class TestCatalogKeys:
         monkeypatch.setenv(CODE_SALT_ENV_VAR, "bumped")
         assert experiment_key("recipe:x", cfg, strategies) != base
 
+    def test_code_salt_tracks_dependency_versions(self, monkeypatch):
+        """EMD flows come straight from scipy's HiGHS build, so a scipy
+        upgrade must move every outcome key; the env override still wins."""
+        import scipy
+
+        from repro.store.catalog import CODE_SALT_ENV_VAR, CODE_VERSION, code_salt
+
+        monkeypatch.delenv(CODE_SALT_ENV_VAR, raising=False)
+        base = code_salt()
+        assert CODE_VERSION in base and scipy.__version__ in base
+        monkeypatch.setattr(scipy, "__version__", "0.0.0-upgraded")
+        assert code_salt() != base
+        monkeypatch.setenv(CODE_SALT_ENV_VAR, "pinned")
+        assert code_salt() == "pinned"
+
     def test_distance_key_name_resolves_defaults(self):
         """Default-constructed registry distances key by name; customised or
         unregistered instances have no name (the conservative bypass)."""

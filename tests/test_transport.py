@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distance.transport import solve_transport
+from repro.distance.transport import (
+    _solve_highs_batch,
+    _validate,
+    solve_transport,
+    solve_transport_batch,
+)
 from repro.errors import TransportError
 
 
@@ -129,3 +134,104 @@ class TestAutoBackend:
         res = solve_transport(supply, demand, cost, backend="auto")
         ref = solve_transport(supply, demand, cost, backend="highs")
         assert res.cost == pytest.approx(ref.cost, rel=1e-7)
+
+
+def _linprog_batch(instances, options):
+    """The batched transport LP as ``scipy.optimize.linprog`` states it: the
+    same row-major variables, supply rows, and demand rows minus the last,
+    assembled through ``scipy.sparse``."""
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
+
+    rows, cols, obj, b, spans = [], [], [], [], []
+    var_off = row_off = 0
+    for supply, demand, cost in (_validate(*inst) for inst in instances):
+        n, m = cost.shape
+        var_rows, var_cols = np.divmod(np.arange(n * m), m)
+        keep = var_cols < m - 1
+        rows += [row_off + var_rows, row_off + n + var_cols[keep]]
+        cols += [var_off + np.arange(n * m), var_off + np.flatnonzero(keep)]
+        obj.append(cost.ravel())
+        b += [supply, demand[:-1]]
+        spans.append((var_off, n, m, cost))
+        var_off += n * m
+        row_off += n + m - 1
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    a_eq = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(row_off, var_off))
+    res = linprog(
+        np.concatenate(obj), A_eq=a_eq.tocsr(), b_eq=np.concatenate(b),
+        bounds=(0, None), method="highs", options=options,
+    )
+    assert res.success
+    out = []
+    for off, n, m, cost in spans:
+        flow = res.x[off : off + n * m].reshape(n, m)
+        out.append((flow, float(np.sum(flow * cost))))
+    return out
+
+
+def _assert_matches_linprog(instances, options):
+    ours = solve_transport_batch(instances, backend="highs")
+    ref = _linprog_batch(instances, options)
+    assert len(ours) == len(ref)
+    for got, (flow, cost) in zip(ours, ref):
+        assert np.array_equal(got.flow, flow)
+        assert got.cost == cost
+
+
+class TestHighsOracle:
+    """The direct HiGHS model solve is bit-for-bit the LP ``linprog`` solves
+    (same variables, constraints and options), so every EMD outcome is
+    unchanged by skipping scipy's wrapper."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_batches(self, seed):
+        rng = np.random.default_rng(seed)
+        instances = [
+            random_instance(rng, *map(int, rng.integers(1, 12, size=2)))
+            for _ in range(int(rng.integers(1, 7)))
+        ]
+        _assert_matches_linprog(instances, {"presolve": False})
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tied_costs(self, seed):
+        rng = np.random.default_rng(50 + seed)
+        instances = []
+        for _ in range(int(rng.integers(1, 7))):
+            supply, demand, cost = random_instance(rng, 6, 5)
+            instances.append((supply, demand, np.round(cost / 4)))
+        _assert_matches_linprog(instances, {"presolve": False})
+
+    def test_single_row_and_column_shapes(self):
+        rng = np.random.default_rng(7)
+        instances = [
+            random_instance(rng, 1, 6),
+            random_instance(rng, 5, 1),
+            random_instance(rng, 1, 1),
+            random_instance(rng, 3, 4),
+        ]
+        _assert_matches_linprog(instances, {"presolve": False})
+
+    def test_zero_mass_bins(self):
+        rng = np.random.default_rng(8)
+        instances = []
+        for _ in range(4):
+            supply, demand, cost = random_instance(rng, 6, 7)
+            supply[[0, 3]] = 0.0
+            demand[[2]] = 0.0
+            demand *= supply.sum() / demand.sum()
+            instances.append((supply, demand, cost))
+        _assert_matches_linprog(instances, {"presolve": False})
+
+    def test_presolved_large_instance(self):
+        # 230 x 230 = 52,900 variables: above the presolve threshold, where
+        # linprog runs HiGHS with its default options.
+        rng = np.random.default_rng(9)
+        _assert_matches_linprog([random_instance(rng, 230, 230)], None)
+
+    def test_non_optimal_status_raises(self):
+        # Unvalidated and unbalanced, so infeasible: the HiGHS status is
+        # reported, not a garbage flow.
+        instance = (np.ones(2), np.full(2, 3.0), np.zeros((2, 2)))
+        with pytest.raises(TransportError, match="Infeasible"):
+            _solve_highs_batch([instance])
